@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
     sc.seed = cli.seed;
     cli.apply_prefix_cache(sc);
     sc.policy = cli.policy;
-    return serve::simulate_serving(*engines[pt.engine], sc).mean_ttft_ms;
+    return serve::simulate(*engines[pt.engine], sc).sched.metrics.mean_ttft_ms;
   });
 
   Table table({"engine \\ QPS", "1.0", "2.5", "5.0", "10.0"});

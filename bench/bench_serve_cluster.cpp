@@ -131,7 +131,7 @@ int main(int argc, char** argv) {
         sc.slo.tpot_deadline_ms = tpot_slo;
       }
     }
-    return serve::simulate_cluster_detailed(engine, sc);
+    return serve::simulate(engine, sc);
   });
 
   std::size_t cell = 0;

@@ -114,7 +114,7 @@ int main(int argc, char** argv) {
     } else {
       sc.cluster.replicas = 2;
     }
-    return serve::simulate_cluster_detailed(engine, sc);
+    return serve::simulate(engine, sc);
   });
 
   const auto config_name = [](const Point& pt) {

@@ -174,7 +174,7 @@ inline void maybe_write_observation(const ServeCliOptions& cli,
   obs::ServeRecorder rec(cli.trace_out.empty() ? nullptr : &trace,
                          cli.metrics_out.empty() ? nullptr : &metrics);
   cfg.recorder = &rec;
-  (void)serve::simulate_cluster_detailed(engine, cfg);
+  (void)serve::simulate(engine, cfg);
   std::ostringstream note;
   if (!cli.trace_out.empty()) {
     trace.write_file(cli.trace_out);

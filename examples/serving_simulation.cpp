@@ -145,7 +145,7 @@ int main(int argc, char** argv) {
   scfg.cluster.autoscaler.max_replicas = args.get_int("autoscale-max", 8);
   // Disaggregated pools: --prefill-replicas/--decode-replicas size the
   // fleet directly (KV pricing and the transfer link derive from the
-  // engine and device inside simulate_cluster_detailed).
+  // engine and device inside serve::simulate).
   if (args.has("prefill-replicas") || args.has("decode-replicas")) {
     scfg.cluster.disagg.enabled = true;
     scfg.cluster.disagg.prefill_replicas = args.get_int("prefill-replicas", 1);
@@ -207,8 +207,7 @@ int main(int argc, char** argv) {
                      auto cfg = ecfg;
                      cfg.format = formats[static_cast<std::size_t>(i)];
                      const serve::Engine engine(cfg);
-                     const auto cs =
-                         serve::simulate_cluster_detailed(engine, scfg);
+                     const auto cs = serve::simulate(engine, scfg);
                      const auto& st = cs.sched;
                      const auto& m = st.metrics;
                      if (clustered) {

@@ -35,37 +35,9 @@ ServeRecorder::ServeRecorder(TraceRecorder* trace, MetricsRegistry* metrics)
                          "Requests the router placed on a replica");
     completed_ = &m.counter("marlin_requests_completed_total",
                             "Requests that finished generating");
-    rejected_ = &m.counter("marlin_requests_rejected_total",
-                           "Requests that could never fit the KV budget");
-    shed_ = &m.counter("marlin_requests_shed_total",
-                       "Requests shed by deadline-aware admission");
-    preemptions_ = &m.counter("marlin_preemptions_total",
-                              "Recompute preemptions of running sequences");
-    prefill_steps_ =
-        &m.counter("marlin_prefill_steps_total", "Chunked-prefill rounds");
-    decode_steps_ =
-        &m.counter("marlin_decode_steps_total", "Decode engine steps");
-    spec_rounds_ = &m.counter("marlin_spec_rounds_total",
-                              "Speculative propose-then-verify rounds");
-    spec_draft_tokens_ = &m.counter("marlin_spec_draft_tokens_total",
-                                    "Draft tokens proposed");
-    spec_committed_tokens_ = &m.counter("marlin_spec_committed_tokens_total",
-                                        "Tokens committed by verification");
     prefix_cache_hits_ = &m.counter("marlin_prefix_cache_hits_total",
                                     "Admissions that reused cached prefix "
                                     "blocks");
-    prefix_cache_hit_blocks_ =
-        &m.counter("marlin_prefix_cache_hit_blocks_total",
-                   "KV blocks reused from the prefix cache");
-    prefix_tokens_skipped_ =
-        &m.counter("marlin_prefix_tokens_skipped_total",
-                   "Prefill tokens skipped thanks to cached prefixes");
-    slo_ttft_violations_ = &m.counter("marlin_slo_ttft_violations_total",
-                                      "Completed requests past the TTFT "
-                                      "deadline");
-    slo_tpot_violations_ = &m.counter("marlin_slo_tpot_violations_total",
-                                      "Completed requests past the TPOT "
-                                      "deadline");
     kv_transfers_ = &m.counter("marlin_kv_transfers_total",
                                "Prefill -> decode KV handoffs (disaggregated "
                                "pools)");
@@ -195,12 +167,6 @@ void ServeRecorder::on_prefix_cache_hit(double t_s, index_t request,
                      {"tokens", static_cast<std::int64_t>(tokens)}});
   }
   if (prefix_cache_hits_ != nullptr) prefix_cache_hits_->inc();
-  if (prefix_cache_hit_blocks_ != nullptr) {
-    prefix_cache_hit_blocks_->inc(static_cast<double>(blocks));
-  }
-  if (prefix_tokens_skipped_ != nullptr) {
-    prefix_tokens_skipped_->inc(static_cast<double>(tokens));
-  }
 }
 
 void ServeRecorder::on_prefill_done(double t_s, index_t request,
@@ -224,7 +190,6 @@ void ServeRecorder::on_preempted(double t_s, index_t request, index_t replica,
                       static_cast<std::int64_t>(blocks_freed)}});
     trace_->begin(kRequestsPid, tid, "queued", "request", t_s);
   }
-  if (preemptions_ != nullptr) preemptions_->inc();
 }
 
 void ServeRecorder::on_rejected(double t_s, index_t request) {
@@ -233,7 +198,6 @@ void ServeRecorder::on_rejected(double t_s, index_t request) {
     trace_->end(kRequestsPid, tid, "queued", "request", t_s);
     trace_->instant(kRequestsPid, tid, "reject", "request", t_s);
   }
-  if (rejected_ != nullptr) rejected_->inc();
 }
 
 void ServeRecorder::on_shed(double t_s, index_t request) {
@@ -242,7 +206,6 @@ void ServeRecorder::on_shed(double t_s, index_t request) {
     trace_->end(kRequestsPid, tid, "queued", "request", t_s);
     trace_->instant(kRequestsPid, tid, "shed", "request", t_s);
   }
-  if (shed_ != nullptr) shed_->inc();
 }
 
 void ServeRecorder::on_finished(double t_s, index_t request, index_t tenant,
@@ -273,7 +236,6 @@ void ServeRecorder::on_slo_ttft_violation(double t_s, index_t request) {
     trace_->instant(kRequestsPid, static_cast<std::int64_t>(request),
                     "slo-ttft-violation", "slo", t_s);
   }
-  if (slo_ttft_violations_ != nullptr) slo_ttft_violations_->inc();
 }
 
 void ServeRecorder::on_slo_tpot_violation(double t_s, index_t request) {
@@ -281,7 +243,6 @@ void ServeRecorder::on_slo_tpot_violation(double t_s, index_t request) {
     trace_->instant(kRequestsPid, static_cast<std::int64_t>(request),
                     "slo-tpot-violation", "slo", t_s);
   }
-  if (slo_tpot_violations_ != nullptr) slo_tpot_violations_->inc();
 }
 
 void ServeRecorder::on_kv_transfer(double t0_s, double t1_s, index_t request,
@@ -312,7 +273,6 @@ void ServeRecorder::on_prefill_step(double t0_s, double t1_s, index_t replica,
                       {"tokens_per_seq",
                        static_cast<std::int64_t>(tokens_per_seq)}});
   }
-  if (prefill_steps_ != nullptr) prefill_steps_->inc();
 }
 
 void ServeRecorder::on_decode_step(double t0_s, double t1_s, index_t replica,
@@ -324,7 +284,6 @@ void ServeRecorder::on_decode_step(double t0_s, double t1_s, index_t replica,
                      {{"batch", static_cast<std::int64_t>(batch)},
                       {"avg_context", avg_context}});
   }
-  if (decode_steps_ != nullptr) decode_steps_->inc();
   if (decode_batch_ != nullptr) {
     decode_batch_->observe(static_cast<double>(batch));
   }
@@ -340,19 +299,8 @@ void ServeRecorder::on_spec_round(double t0_s, double t1_s, index_t replica,
                       {"draft_tokens",
                        static_cast<std::int64_t>(draft_tokens)}});
   }
-  if (decode_steps_ != nullptr) decode_steps_->inc();
-  if (spec_rounds_ != nullptr) spec_rounds_->inc();
-  if (spec_draft_tokens_ != nullptr) {
-    spec_draft_tokens_->inc(static_cast<double>(draft_tokens));
-  }
   if (decode_batch_ != nullptr) {
     decode_batch_->observe(static_cast<double>(batch));
-  }
-}
-
-void ServeRecorder::on_spec_commit(index_t tokens) {
-  if (spec_committed_tokens_ != nullptr) {
-    spec_committed_tokens_->inc(static_cast<double>(tokens));
   }
 }
 
@@ -386,17 +334,30 @@ void ServeRecorder::on_tick(double t_s, index_t replica, index_t queued,
   }
 }
 
-void ServeRecorder::on_run_end(double sim_end_s, index_t peak_kv_blocks,
-                               index_t peak_replicas,
+void ServeRecorder::on_run_end(const serve::sched::SchedCounters& fleet,
+                               double sim_end_s, index_t peak_replicas,
                                index_t kv_blocks_allocated,
                                index_t kv_blocks_freed,
                                index_t kv_grow_failures) {
   if (metrics_ == nullptr) return;
   MetricsRegistry& m = *metrics_;
+  for (const serve::sched::SchedCounterField& f :
+       serve::sched::kSchedCounterFields) {
+    const auto value = static_cast<double>(fleet.*f.member);
+    if (f.peak) {
+      m.gauge(f.metric, f.help).set(value);
+    } else {
+      m.counter(f.metric, f.help).inc(value);
+    }
+  }
+  m.gauge("marlin_prefix_cache_hit_rate",
+          "Fraction of probed prompt blocks served from the prefix cache")
+      .set(fleet.prefix_cache_lookup_blocks > 0
+               ? static_cast<double>(fleet.prefix_cache_hit_blocks) /
+                     static_cast<double>(fleet.prefix_cache_lookup_blocks)
+               : 0.0);
   m.gauge("marlin_sim_end_seconds", "Simulated time the run finished at")
       .set(sim_end_s);
-  m.gauge("marlin_kv_blocks_peak", "Fleet-wide peak KV blocks in use")
-      .set(static_cast<double>(peak_kv_blocks));
   m.gauge("marlin_replicas_peak", "Peak simultaneously routable replicas")
       .set(static_cast<double>(peak_replicas));
   m.counter("marlin_kv_blocks_allocated_total",
@@ -408,32 +369,6 @@ void ServeRecorder::on_run_end(double sim_end_s, index_t peak_kv_blocks,
   m.counter("marlin_kv_grow_failures_total",
             "Decode KV growths refused by the budget (preemption pressure)")
       .inc(static_cast<double>(kv_grow_failures));
-}
-
-void ServeRecorder::on_prefix_cache_run_end(index_t lookup_blocks,
-                                            index_t hit_blocks,
-                                            index_t evictions,
-                                            index_t cow_forks,
-                                            index_t cow_copies) {
-  if (metrics_ == nullptr) return;
-  MetricsRegistry& m = *metrics_;
-  m.counter("marlin_prefix_cache_lookup_blocks_total",
-            "Prompt blocks probed against the prefix cache")
-      .inc(static_cast<double>(lookup_blocks));
-  m.counter("marlin_prefix_cache_evictions_total",
-            "Cached-but-idle prefix blocks reclaimed under pressure")
-      .inc(static_cast<double>(evictions));
-  m.counter("marlin_cow_forks_total",
-            "Sequences forked to share a prompt copy-on-write")
-      .inc(static_cast<double>(cow_forks));
-  m.counter("marlin_cow_copies_total",
-            "Shared KV blocks copied on first divergent write")
-      .inc(static_cast<double>(cow_copies));
-  m.gauge("marlin_prefix_cache_hit_rate",
-          "Fraction of probed prompt blocks served from the prefix cache")
-      .set(lookup_blocks > 0 ? static_cast<double>(hit_blocks) /
-                                   static_cast<double>(lookup_blocks)
-                             : 0.0);
 }
 
 }  // namespace marlin::obs

@@ -32,6 +32,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "serve/sched/counters.hpp"
 #include "util/matrix.hpp"
 
 namespace marlin::obs {
@@ -90,8 +91,6 @@ class ServeRecorder {
                       index_t batch, double avg_context);
   void on_spec_round(double t0_s, double t1_s, index_t replica, index_t batch,
                      index_t draft_tokens);
-  /// Tokens one speculative round committed for one request.
-  void on_spec_commit(index_t tokens);
   /// Parallel decode pricing split (ParallelEngine only): compute vs
   /// interconnect seconds of the step, plus the pipeline bubble fraction
   /// — rendered as counter tracks under the replica's engine row.
@@ -103,14 +102,11 @@ class ServeRecorder {
                index_t kv_used, index_t kv_total);
 
   // ---- end of run ------------------------------------------------------
-  void on_run_end(double sim_end_s, index_t peak_kv_blocks,
+  /// Exports the fleet's scheduler counters (every `kSchedCounterFields`
+  /// row, plus the prefix-cache hit rate) and the run-level totals.
+  void on_run_end(const serve::sched::SchedCounters& fleet, double sim_end_s,
                   index_t peak_replicas, index_t kv_blocks_allocated,
                   index_t kv_blocks_freed, index_t kv_grow_failures);
-  /// Fleet-wide prefix-cache / copy-on-write totals (all zero when the
-  /// cache is off and every request samples n=1).
-  void on_prefix_cache_run_end(index_t lookup_blocks, index_t hit_blocks,
-                               index_t evictions, index_t cow_forks,
-                               index_t cow_copies);
 
  private:
   /// Ensures "replica r" process/thread rows are named (idempotent).
@@ -125,22 +121,11 @@ class ServeRecorder {
   std::map<index_t, double> lifecycle_last_s_;
 
   // Hot instruments, resolved once in the constructor (null when
-  // `metrics_` is null).
+  // `metrics_` is null). The scheduler counters are not among them: they
+  // are exported once, from `on_run_end`.
   Counter* routed_ = nullptr;
   Counter* completed_ = nullptr;
-  Counter* rejected_ = nullptr;
-  Counter* shed_ = nullptr;
-  Counter* preemptions_ = nullptr;
-  Counter* prefill_steps_ = nullptr;
-  Counter* decode_steps_ = nullptr;
-  Counter* spec_rounds_ = nullptr;
-  Counter* spec_draft_tokens_ = nullptr;
-  Counter* spec_committed_tokens_ = nullptr;
   Counter* prefix_cache_hits_ = nullptr;
-  Counter* prefix_cache_hit_blocks_ = nullptr;
-  Counter* prefix_tokens_skipped_ = nullptr;
-  Counter* slo_ttft_violations_ = nullptr;
-  Counter* slo_tpot_violations_ = nullptr;
   Counter* kv_transfers_ = nullptr;
   Counter* kv_transfer_bytes_ = nullptr;
   Counter* kv_transfer_seconds_ = nullptr;

@@ -141,7 +141,6 @@ ClusterStats EventLoop::run(const std::vector<sched::TraceRequest>& trace,
     double ready_s;
   };
   std::vector<PendingMigration> pending;
-  index_t migration_ttft_violations = 0;
 
   const auto link_stats_for = [&](index_t src, index_t dst) -> LinkStats& {
     for (LinkStats& l : stats.links) {
@@ -208,7 +207,7 @@ ClusterStats EventLoop::run(const std::vector<sched::TraceRequest>& trace,
         const double new_ms = (ready_s - r.arrival_s) * 1e3;
         if (old_ms <= slo.ttft_deadline_ms &&
             new_ms > slo.ttft_deadline_ms) {
-          ++migration_ttft_violations;
+          ++src.counters().slo_ttft_violations;
           if (obs != nullptr) obs->on_slo_ttft_violation(ready_s, r.id);
         }
       }
@@ -350,16 +349,15 @@ ClusterStats EventLoop::run(const std::vector<sched::TraceRequest>& trace,
     const double now_before = target->now();
     const std::size_t queue_before = target->state().queue.size();
     const std::size_t active_before = target->state().active();
-    const index_t terminal_before =
-        target->state().rejected + target->state().shed;
+    const sched::SchedCounters& counters = target->state().counters;
+    const index_t terminal_before = counters.rejected + counters.shed;
 
     target->tick(requests);
 
     MARLIN_CHECK(!target->busy() || target->now() != now_before ||
                      target->state().queue.size() != queue_before ||
                      target->state().active() != active_before ||
-                     target->state().rejected + target->state().shed !=
-                         terminal_before,
+                     counters.rejected + counters.shed != terminal_before,
                  "event loop stalled: replica " << target->id()
                                                 << " made no progress at t="
                                                 << target->now());
@@ -371,81 +369,46 @@ ClusterStats EventLoop::run(const std::vector<sched::TraceRequest>& trace,
     retire_drained();
   }
 
-  // Legacy SchedStats over the whole fleet: counters summed, metrics over
-  // the trace-order request vector — for one replica this is exactly what
-  // the pre-cluster Scheduler::run computed.
+  // Fleet SchedStats: counters folded over the replicas, metrics over the
+  // trace-order request vector — for one replica this is exactly what the
+  // pre-cluster single-engine loop computed.
   double batch_weighted = 0;
   double decode_time_total = 0;
-  for (const Replica& rep : fleet) {
-    const sched::ReplicaState& s = rep.state();
-    stats.sched.preemptions += s.preemptions;
-    stats.sched.rejected += s.rejected;
-    stats.sched.shed += s.shed;
-    stats.sched.prefill_steps += s.prefill_steps;
-    stats.sched.decode_steps += s.decode_steps;
-    stats.sched.spec_rounds += s.spec_rounds;
-    stats.sched.spec_draft_tokens += s.spec_draft_tokens;
-    stats.sched.spec_committed_tokens += s.spec_committed_tokens;
-    stats.sched.slo_ttft_violations += s.slo_ttft_violations;
-    stats.sched.slo_tpot_violations += s.slo_tpot_violations;
-    stats.sched.prefix_cache_lookup_blocks += s.bm.prefix_cache_lookup_blocks();
-    stats.sched.prefix_cache_hit_blocks += s.bm.prefix_cache_hit_blocks();
-    stats.sched.prefix_cache_evictions += s.bm.prefix_cache_evictions();
-    stats.sched.prefix_tokens_skipped += s.prefix_tokens_skipped;
-    stats.sched.cow_forks += s.bm.cow_forks();
-    stats.sched.cow_copies += s.bm.cow_copies();
-    stats.sched.peak_kv_blocks =
-        std::max(stats.sched.peak_kv_blocks, s.bm.peak_used_blocks());
-    stats.sched.sim_end_s = std::max(stats.sched.sim_end_s, s.now);
-    batch_weighted += s.batch_weighted;
-    decode_time_total += s.decode_time_total;
-  }
-  stats.sched.slo_ttft_violations += migration_ttft_violations;
-  stats.sched.metrics =
-      sched::metrics_from_requests(requests, batch_weighted,
-                                   decode_time_total);
-
+  index_t kv_allocated = 0;
+  index_t kv_freed = 0;
+  index_t kv_grow_failures = 0;
   stats.replicas.reserve(fleet.size());
   for (const Replica& rep : fleet) {
     const sched::ReplicaState& s = rep.state();
-    ReplicaStats r;
+    ReplicaStats& r = stats.replicas.emplace_back();
+    static_cast<sched::SchedCounters&>(r) = s.totals();
     r.id = rep.id();
     r.lifecycle = rep.lifecycle();
     r.role = rep.role();
     r.clock_s = s.now;
     r.routed = rep.routed();
-    r.shed = s.shed;
-    r.preemptions = s.preemptions;
-    r.prefill_steps = s.prefill_steps;
-    r.decode_steps = s.decode_steps;
-    r.peak_kv_blocks = s.bm.peak_used_blocks();
     r.leaked_kv_blocks = s.bm.used_blocks();
     r.migrated_in = rep.migrated_in();
     r.migrated_out = rep.migrated_out();
-    stats.replicas.push_back(r);
+    stats.sched += r;
+    stats.sched.sim_end_s = std::max(stats.sched.sim_end_s, s.now);
+    batch_weighted += s.batch_weighted;
+    decode_time_total += s.decode_time_total;
+    kv_allocated += s.bm.blocks_allocated_total();
+    kv_freed += s.bm.blocks_freed_total();
+    kv_grow_failures += s.bm.grow_failures();
   }
+  stats.sched.metrics =
+      sched::metrics_from_requests(requests, batch_weighted,
+                                   decode_time_total);
   for (const sched::Request& r : requests) {
     if (r.finish_s >= 0 && r.replica >= 0) {
       ++stats.replicas[static_cast<std::size_t>(r.replica)].completed;
     }
   }
   if (obs != nullptr) {
-    index_t allocated = 0;
-    index_t freed = 0;
-    index_t grow_failures = 0;
-    for (const Replica& rep : fleet) {
-      const sched::ReplicaState& s = rep.state();
-      allocated += s.bm.blocks_allocated_total();
-      freed += s.bm.blocks_freed_total();
-      grow_failures += s.bm.grow_failures();
-    }
-    obs->on_run_end(stats.sched.sim_end_s, stats.sched.peak_kv_blocks,
-                    stats.peak_replicas, allocated, freed, grow_failures);
-    obs->on_prefix_cache_run_end(stats.sched.prefix_cache_lookup_blocks,
-                                 stats.sched.prefix_cache_hit_blocks,
-                                 stats.sched.prefix_cache_evictions,
-                                 stats.sched.cow_forks,
-                                 stats.sched.cow_copies);
+    obs->on_run_end(stats.sched, stats.sched.sim_end_s, stats.peak_replicas,
+                    kv_allocated, kv_freed, kv_grow_failures);
   }
   return stats;
 }

@@ -1,7 +1,7 @@
 #pragma once
-// Cluster-level discrete-event loop: the clock that used to live inside
-// Scheduler::run, hoisted one level up so it can drive a whole fleet of
-// replicas behind a front-end Router.
+// Cluster-level discrete-event loop: the clock of a serving run, one
+// level above the passive per-replica Scheduler, so it can drive a whole
+// fleet of replicas behind a front-end Router.
 //
 // The loop is strictly serial and deterministic (part of the
 // bit-identical-across-threads contract; parallelism lives below, in
@@ -19,7 +19,7 @@
 //      admission pass plus one engine step (see Scheduler's passive API).
 //
 // With one replica this reduces — engine call for engine call — to the
-// original Scheduler::run loop: step 3 is its `admit_arrivals(now)`, the
+// original single-engine loop: step 3 is its `admit_arrivals(now)`, the
 // idle frontier is its idle jump, and step 4 is its loop body. That
 // equivalence is what keeps every pre-cluster golden byte-identical
 // through the refactor (and is pinned by test_serve_cluster).
@@ -71,8 +71,8 @@ struct DisaggConfig {
   bool enabled = false;
   index_t prefill_replicas = 1;
   index_t decode_replicas = 1;
-  /// KV bytes one context token occupies. `simulate_cluster_detailed`
-  /// fills 0 from the engine; a direct EventLoop caller picks its own.
+  /// KV bytes one context token occupies. `serve::simulate` fills 0
+  /// from the engine; a direct EventLoop caller picks its own.
   double kv_bytes_per_token = 0;
   /// Transfer link. 0 bytes/s means infinitely fast (only the latency
   /// term is paid); 0/0 is the zero-cost link.
@@ -101,19 +101,15 @@ struct ClusterOptions {
   void validate() const;
 };
 
-/// One replica's end-of-run accounting.
-struct ReplicaStats {
+/// One replica's end-of-run accounting: its scheduler counters plus its
+/// placement and lifecycle.
+struct ReplicaStats : sched::SchedCounters {
   index_t id = 0;
   ReplicaLifecycle lifecycle = ReplicaLifecycle::kActive;
   ReplicaRole role = ReplicaRole::kUnified;
   double clock_s = 0;    // final value of the replica's clock
   index_t routed = 0;    // requests the router placed here
   index_t completed = 0;
-  index_t shed = 0;
-  index_t preemptions = 0;
-  index_t prefill_steps = 0;
-  index_t decode_steps = 0;
-  index_t peak_kv_blocks = 0;
   /// KV blocks still allocated after the run — always 0 unless a
   /// lifecycle bug leaks them (asserted by tests).
   index_t leaked_kv_blocks = 0;
@@ -133,10 +129,10 @@ struct LinkStats {
   double seconds = 0;
 };
 
-/// Fleet-level outcome: the legacy SchedStats (metrics over all requests,
-/// counters summed across replicas — for one replica bit-identical to the
-/// pre-cluster Scheduler::run) plus the per-replica split and autoscaler
-/// accounting.
+/// Fleet-level outcome: the SchedStats (metrics over all requests, the
+/// replicas' counters folded with `+=` — for one replica bit-identical to
+/// the pre-cluster single-engine loop) plus the per-replica split and
+/// autoscaler accounting.
 struct ClusterStats {
   sched::SchedStats sched;
   std::vector<ReplicaStats> replicas;

@@ -126,7 +126,7 @@ index_t Replica::begin_migration(std::size_t request_id,
     // Blocks already published here don't cross the wire; count the
     // skipped tokens like a prefill-side cache hit.
     cached_tokens = hits * bm.block_size();
-    state_.prefix_tokens_skipped += cached_tokens;
+    state_.counters.prefix_tokens_skipped += cached_tokens;
     if (hits > 0 && state_.obs != nullptr) {
       state_.obs->on_prefix_cache_hit(state_.now, r.id, id_, hits,
                                       cached_tokens);

@@ -128,6 +128,10 @@ class Replica {
   /// Direct state access for the EventLoop's stats aggregation and for
   /// white-box tests.
   [[nodiscard]] const sched::ReplicaState& state() const { return state_; }
+  /// This replica's scheduler counters, for events the EventLoop charges
+  /// to it (a TTFT deadline missed on the KV-transfer wire counts against
+  /// the replica the request left).
+  [[nodiscard]] sched::SchedCounters& counters() { return state_.counters; }
 
  private:
   index_t id_;

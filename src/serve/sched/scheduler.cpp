@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "obs/serve_recorder.hpp"
-#include "serve/cluster/event_loop.hpp"
 #include "util/error.hpp"
 #include "util/stats.hpp"
 
@@ -60,6 +59,17 @@ void SloConfig::validate() const {
                "negative TTFT deadline (" << ttft_deadline_ms << " ms)");
   MARLIN_CHECK(tpot_deadline_ms >= 0,
                "negative TPOT deadline (" << tpot_deadline_ms << " ms)");
+}
+
+SchedCounters ReplicaState::totals() const {
+  SchedCounters c = counters;
+  c.prefix_cache_hit_blocks = bm.prefix_cache_hit_blocks();
+  c.prefix_cache_lookup_blocks = bm.prefix_cache_lookup_blocks();
+  c.prefix_cache_evictions = bm.prefix_cache_evictions();
+  c.cow_forks = bm.cow_forks();
+  c.cow_copies = bm.cow_copies();
+  c.peak_kv_blocks = bm.peak_used_blocks();
+  return c;
 }
 
 namespace {
@@ -151,7 +161,7 @@ index_t policy_key(SchedPolicy policy, const Request& r) {
 }
 
 /// One tick's worth of scheduling against a ReplicaState — the former
-/// Scheduler::run loop body, with its helper lambdas promoted to member
+/// single-engine loop body, with its helper lambdas promoted to member
 /// functions. Constructed per Scheduler::admit/step call (it only
 /// bundles references); every floating-point operation happens in the
 /// exact order of the legacy loop, which is what keeps a 1-replica
@@ -234,7 +244,7 @@ class Ticker {
     v.forks.clear();
     v.prefilled = 0;
     ++v.preemptions;
-    ++s_.preemptions;
+    ++s_.counters.preemptions;
     s_.queue.push_front(victim);
     if (s_.obs != nullptr) {
       s_.obs->on_preempted(s_.now, v.id, s_.replica_id, blocks_freed);
@@ -395,7 +405,7 @@ void Ticker::admit() {
     if (slo_hopeless(r)) {
       r.shed = true;
       r.set_state(RequestState::kFinished);
-      ++s_.shed;
+      ++s_.counters.shed;
       scr.taken[id] = 1;
       if (s_.obs != nullptr) s_.obs->on_shed(s_.now, r.id);
       continue;
@@ -403,7 +413,7 @@ void Ticker::admit() {
     if (never_fits(r)) {
       r.rejected = true;
       r.set_state(RequestState::kFinished);
-      ++s_.rejected;
+      ++s_.counters.rejected;
       scr.taken[id] = 1;
       if (s_.obs != nullptr) s_.obs->on_rejected(s_.now, r.id);
       continue;
@@ -432,7 +442,7 @@ void Ticker::admit() {
       // Chunked prefill starts past the cached run — those tokens' KV
       // already exists, so their prefill compute is skipped outright.
       cached_tokens = hits * s_.bm.block_size();
-      s_.prefix_tokens_skipped += cached_tokens;
+      s_.counters.prefix_tokens_skipped += cached_tokens;
       if (hits > 0 && s_.obs != nullptr) {
         s_.obs->on_prefix_cache_hit(s_.now, r.id, s_.replica_id, hits,
                                     cached_tokens);
@@ -472,7 +482,7 @@ void Ticker::prefill_round() {
   const double t0 = s_.now;
   s_.now +=
       model_.prefill_seconds(count, std::max<index_t>(1, tokens_per_seq));
-  ++s_.prefill_steps;
+  ++s_.counters.prefill_steps;
   if (s_.obs != nullptr) {
     s_.obs->on_prefill_step(t0, s_.now, s_.replica_id, count,
                             std::max<index_t>(1, tokens_per_seq));
@@ -512,7 +522,7 @@ void Ticker::prefill_round() {
       r.first_token_s = s_.now;  // prefill emits #1
       if (cfg_.slo.ttft_deadline_ms > 0 &&
           request_ttft_ms(r) > cfg_.slo.ttft_deadline_ms) {
-        ++s_.slo_ttft_violations;
+        ++s_.counters.slo_ttft_violations;
         if (s_.obs != nullptr) s_.obs->on_slo_ttft_violation(s_.now, r.id);
       }
     }
@@ -578,15 +588,15 @@ void Ticker::decode_round() {
     t_step = static_cast<double>(spec.depth) *
                  draft_->decode_step_seconds(batch, avg_ctx) +
              model_.verify_step_seconds(batch, avg_ctx, spec.depth);
-    ++s_.spec_rounds;
-    s_.spec_draft_tokens += spec.depth * batch;
+    ++s_.counters.spec_rounds;
+    s_.counters.spec_draft_tokens += spec.depth * batch;
   } else {
     t_step = model_.decode_step_seconds(batch, avg_ctx);
   }
   s_.now += t_step;
   s_.batch_weighted += static_cast<double>(batch) * t_step;
   s_.decode_time_total += t_step;
-  ++s_.decode_steps;
+  ++s_.counters.decode_steps;
   if (s_.obs != nullptr) {
     if (spec.enabled()) {
       s_.obs->on_spec_round(t0, s_.now, s_.replica_id, batch,
@@ -610,10 +620,7 @@ void Ticker::decode_round() {
     if (spec.enabled()) {
       r.spec_credit =
           r.spec_credit + spec_expected_ - static_cast<double>(committed);
-      s_.spec_committed_tokens += committed * r.num_sequences;
-      if (s_.obs != nullptr) {
-        s_.obs->on_spec_commit(committed * r.num_sequences);
-      }
+      s_.counters.spec_committed_tokens += committed * r.num_sequences;
     }
     r.generated += committed;
     // Every sampled sequence consumes a batch slot, so WFQ charges the
@@ -623,7 +630,7 @@ void Ticker::decode_round() {
       r.finish_s = s_.now;
       if (cfg_.slo.tpot_deadline_ms > 0 &&
           request_tpot_ms(r) > cfg_.slo.tpot_deadline_ms) {
-        ++s_.slo_tpot_violations;
+        ++s_.counters.slo_tpot_violations;
         if (s_.obs != nullptr) s_.obs->on_slo_tpot_violation(s_.now, r.id);
       }
       r.set_state(RequestState::kFinished);
@@ -705,13 +712,6 @@ void Scheduler::admit(ReplicaState& s, std::vector<Request>& requests) const {
 
 void Scheduler::step(ReplicaState& s, std::vector<Request>& requests) const {
   Ticker(cfg_, model_, draft_model_, spec_expected_, s, requests).step();
-}
-
-SchedStats Scheduler::run(const std::vector<TraceRequest>& trace,
-                          const SimContext& ctx) const {
-  cluster::ClusterStats stats =
-      cluster::EventLoop(*this, cluster::ClusterOptions{}).run(trace, ctx);
-  return std::move(stats.sched);
 }
 
 }  // namespace marlin::serve::sched

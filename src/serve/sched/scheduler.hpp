@@ -21,10 +21,9 @@
 //      sequence is preempted (blocks freed, recompute on re-admission,
 //      re-queued at the front).
 //
-// `Scheduler::run` is the single-replica convenience wrapper: it drives
-// a 1-replica `cluster::EventLoop`, which reduces — engine call for
-// engine call, floating-point add for add — to the original
-// `simulate_serving` loop, which the fig15/fig16 goldens pin down.
+// A 1-replica `cluster::EventLoop` reduces — engine call for engine
+// call, floating-point add for add — to the original single-engine
+// loop, which the fig15/fig16 goldens pin down.
 //
 // The event loop is strictly serial (its results are part of the
 // bit-identical-across-threads contract); parallelism comes from warming
@@ -56,6 +55,7 @@
 
 #include "serve/engine.hpp"
 #include "serve/sched/block_manager.hpp"
+#include "serve/sched/counters.hpp"
 #include "serve/sched/request.hpp"
 #include "serve/sched/tenant.hpp"
 #include "serve/sched/workload.hpp"
@@ -68,8 +68,8 @@ class ServeRecorder;
 namespace marlin::serve {
 
 /// Aggregate latency metrics of one serving simulation. Field set and
-/// semantics predate the scheduler subsystem — golden tables and the
-/// `simulate_serving` API depend on them.
+/// semantics predate the scheduler subsystem — golden tables depend on
+/// them.
 struct ServingMetrics {
   double mean_tpot_ms = 0;  // time per output token (after the first)
   double mean_ttft_ms = 0;  // time to first token
@@ -218,20 +218,13 @@ struct ReplicaState {
   /// allocation-free steady-state decode tick is preserved.
   obs::ServeRecorder* obs = nullptr;
 
-  // Counters the EventLoop sums into SchedStats.
-  index_t preemptions = 0;
-  index_t rejected = 0;
-  index_t shed = 0;
-  index_t prefill_steps = 0;
-  index_t decode_steps = 0;
-  index_t spec_rounds = 0;
-  index_t spec_draft_tokens = 0;
-  index_t spec_committed_tokens = 0;
-  index_t slo_ttft_violations = 0;
-  index_t slo_tpot_violations = 0;
-  /// Prompt tokens whose prefill was skipped because their KV came out of
-  /// the prefix cache (block-level counters live on `bm`).
-  index_t prefix_tokens_skipped = 0;
+  /// Scheduler-side counters; the block manager keeps its own, which
+  /// `totals` folds in.
+  SchedCounters counters;
+
+  /// This replica's full counter set: `counters` plus the block
+  /// manager's prefix-cache, copy-on-write and peak-occupancy counters.
+  [[nodiscard]] SchedCounters totals() const;
 
   /// Requests in flight or waiting — a busy replica must be ticked.
   [[nodiscard]] bool busy() const {
@@ -243,37 +236,12 @@ struct ReplicaState {
   }
 };
 
-/// Everything one simulation produced: the golden-stable metrics plus
-/// scheduler-level counters and the final per-request states (trace
-/// order) for policy-behaviour assertions.
-struct SchedStats {
+/// Everything one simulation produced: the fleet's counters (summed over
+/// replicas), the golden-stable metrics and the final per-request states
+/// (trace order) for policy-behaviour assertions.
+struct SchedStats : SchedCounters {
   ServingMetrics metrics;
-  index_t preemptions = 0;
-  index_t rejected = 0;  // could never fit in the KV budget
-  index_t shed = 0;      // SLO shed-on-hopeless (kFinished, no tokens)
-  index_t prefill_steps = 0;
-  index_t decode_steps = 0;
-  index_t peak_kv_blocks = 0;
   double sim_end_s = 0;
-  /// SLO accounting (0 when no deadline is configured): completed
-  /// requests that missed their TTFT / TPOT deadline.
-  index_t slo_ttft_violations = 0;
-  index_t slo_tpot_violations = 0;
-  /// Speculative decoding counters (all 0 when speculation is off):
-  /// propose-then-verify rounds, draft tokens proposed, tokens committed.
-  index_t spec_rounds = 0;
-  index_t spec_draft_tokens = 0;
-  index_t spec_committed_tokens = 0;
-  /// Prefix-cache / CoW-sharing counters, summed over replicas (all 0
-  /// with the cache off and n=1 sampling). Hit blocks are exactly the
-  /// physical allocations (and their recomputed prefill) saved; the
-  /// hit-rate is hits / lookups.
-  index_t prefix_cache_hit_blocks = 0;
-  index_t prefix_cache_lookup_blocks = 0;
-  index_t prefix_cache_evictions = 0;
-  index_t prefix_tokens_skipped = 0;
-  index_t cow_forks = 0;
-  index_t cow_copies = 0;
   std::vector<Request> requests;
 };
 
@@ -303,16 +271,6 @@ class Scheduler {
   /// not owned and must outlive the scheduler.
   Scheduler(const StepModel& model, SchedulerConfig cfg,
             const StepModel* draft_model = nullptr);
-
-  /// Runs the trace to completion on a single replica — a convenience
-  /// wrapper that drives a 1-replica `cluster::EventLoop` with default
-  /// cluster options, reproducing the pre-cluster scheduler loop
-  /// bit-for-bit. `ctx` only pre-warms the step model's decode memo
-  /// (per-rank step evaluation on the shared pool); the stats are
-  /// bit-identical for every context.
-  [[nodiscard]] SchedStats run(
-      const std::vector<TraceRequest>& trace,
-      const SimContext& ctx = SimContext::serial_context()) const;
 
   // ---- passive tick API (driven by cluster::EventLoop) -----------------
 

@@ -9,9 +9,8 @@
 
 namespace marlin::serve {
 
-cluster::ClusterStats simulate_cluster_detailed(const Engine& engine,
-                                                const ServingConfig& cfg,
-                                                const SimContext& ctx) {
+cluster::ClusterStats simulate(const Engine& engine, const ServingConfig& cfg,
+                               const SimContext& ctx) {
   sched::WorkloadConfig w;
   w.shape = cfg.shape;
   w.qps = cfg.qps;
@@ -104,17 +103,6 @@ cluster::ClusterStats simulate_cluster_detailed(const Engine& engine,
   const sched::Scheduler scheduler(model, sc, draft ? &*draft : nullptr);
   return cluster::EventLoop(scheduler, copts)
       .run(sched::generate_trace(w), ctx, cfg.recorder);
-}
-
-sched::SchedStats simulate_serving_detailed(const Engine& engine,
-                                            const ServingConfig& cfg,
-                                            const SimContext& ctx) {
-  return std::move(simulate_cluster_detailed(engine, cfg, ctx).sched);
-}
-
-ServingMetrics simulate_serving(const Engine& engine,
-                                const ServingConfig& cfg) {
-  return simulate_serving_detailed(engine, cfg).metrics;
 }
 
 }  // namespace marlin::serve

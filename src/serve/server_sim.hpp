@@ -2,8 +2,10 @@
 // Serving simulation entry point (paper Figures 15/16) — a thin adapter
 // over the request-level scheduler subsystem in serve/sched/.
 //
-// `simulate_serving` turns a ServingConfig into a workload trace plus a
-// scheduler configuration and runs the continuous-batching scheduler.
+// `simulate` turns a ServingConfig into a workload trace plus a scheduler
+// configuration and runs it through the cluster event loop. It is the one
+// entry point: every bench, example and test reads its results from the
+// returned ClusterStats.
 // The defaults (Poisson arrivals, FCFS, unlimited KV blocks, unchunked
 // prefill) reproduce the pre-subsystem simulator bit-for-bit — the
 // fig15/fig16 golden tables hold — while the extra knobs open the
@@ -92,20 +94,11 @@ struct ServingConfig {
   obs::ServeRecorder* recorder = nullptr;
 };
 
-/// Full cluster statistics: the fleet-summed SchedStats plus per-replica
-/// accounting. `ctx` pre-warms the engine's decode memo on its pool; the
-/// results are bit-identical for every context.
-cluster::ClusterStats simulate_cluster_detailed(
+/// Runs one serving simulation: the fleet's SchedStats (`.sched`) plus
+/// per-replica accounting. `ctx` pre-warms the engine's decode memo on its
+/// pool; the results are bit-identical for every context.
+cluster::ClusterStats simulate(
     const Engine& engine, const ServingConfig& cfg,
     const SimContext& ctx = SimContext::serial_context());
-
-/// Full scheduler statistics (metrics + preemptions, KV peak, per-request
-/// outcomes) — the `.sched` slice of `simulate_cluster_detailed`.
-sched::SchedStats simulate_serving_detailed(
-    const Engine& engine, const ServingConfig& cfg,
-    const SimContext& ctx = SimContext::serial_context());
-
-ServingMetrics simulate_serving(const Engine& engine,
-                                const ServingConfig& cfg);
 
 }  // namespace marlin::serve

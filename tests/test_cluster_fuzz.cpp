@@ -9,6 +9,7 @@
 //     every request reaches a terminal state),
 //   - monotone time (arrival <= first token <= finish <= sim end),
 //   - per-tenant splits sum back to the fleet totals,
+//   - the per-replica counters fold (`+=`) to the fleet counters exactly,
 //   - repeat runs reproduce bit-identically (subset of seeds).
 //
 // The sweep size defaults to 200 fixed seeds and can be narrowed with
@@ -20,10 +21,20 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <ostream>
 #include <random>
 #include <string>
 
 #include "serve/server_sim.hpp"
+
+namespace marlin::serve::sched {
+// Names every counter when a SchedCounters comparison fails.
+void PrintTo(const SchedCounters& c, std::ostream* os) {
+  for (const SchedCounterField& f : kSchedCounterFields) {
+    *os << f.metric << '=' << c.*f.member << ' ';
+  }
+}
+}  // namespace marlin::serve::sched
 
 namespace marlin::serve {
 namespace {
@@ -196,6 +207,12 @@ void check_invariants(const cluster::ClusterStats& cs, std::uint64_t seed) {
   for (const auto& l : cs.links) link_transfers += l.transfers;
   EXPECT_EQ(link_transfers, cs.migrations) << "seed " << seed;
   EXPECT_GE(cs.transfer_seconds, 0.0) << "seed " << seed;
+
+  // ---- per-replica counters fold to the fleet counters -----------------
+  sched::SchedCounters folded;
+  for (const auto& rep : cs.replicas) folded += rep;
+  EXPECT_EQ(folded, static_cast<const sched::SchedCounters&>(st))
+      << "seed " << seed;
 }
 
 void expect_bit_identical(const cluster::ClusterStats& a,
@@ -208,7 +225,9 @@ void expect_bit_identical(const cluster::ClusterStats& a,
   EXPECT_EQ(a.sched.metrics.completed, b.sched.metrics.completed)
       << "seed " << seed;
   EXPECT_EQ(a.sched.sim_end_s, b.sched.sim_end_s) << "seed " << seed;
-  EXPECT_EQ(a.sched.preemptions, b.sched.preemptions) << "seed " << seed;
+  EXPECT_EQ(static_cast<const sched::SchedCounters&>(a.sched),
+            static_cast<const sched::SchedCounters&>(b.sched))
+      << "seed " << seed;
   EXPECT_EQ(a.migrations, b.migrations) << "seed " << seed;
   EXPECT_EQ(a.transfer_bytes, b.transfer_bytes) << "seed " << seed;
   ASSERT_EQ(a.sched.requests.size(), b.sched.requests.size());
@@ -227,12 +246,12 @@ TEST(ClusterFuzz, InvariantsHoldAcrossTheSeedSweep) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     const ServingConfig sc = config_for_seed(seed);
     const cluster::ClusterStats cs =
-        simulate_cluster_detailed(fuzz_engine(), sc);
+        simulate(fuzz_engine(), sc);
     check_invariants(cs, seed);
     EXPECT_GT(cs.sched.requests.size(), 0u) << "seed " << seed;
     // Every 8th seed: the run must reproduce bit-for-bit from scratch.
     if (seed % 8 == 0) {
-      expect_bit_identical(cs, simulate_cluster_detailed(fuzz_engine(), sc),
+      expect_bit_identical(cs, simulate(fuzz_engine(), sc),
                            seed);
     }
     if (HasFatalFailure()) return;
@@ -246,8 +265,8 @@ TEST(ClusterFuzz, SweepIsDeterministicAcrossThreadCounts) {
   for (const std::uint64_t seed : {3u, 57u, 111u, 169u}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     const ServingConfig sc = config_for_seed(seed);
-    expect_bit_identical(simulate_cluster_detailed(fuzz_engine(), sc),
-                         simulate_cluster_detailed(fuzz_engine(), sc, pooled),
+    expect_bit_identical(simulate(fuzz_engine(), sc),
+                         simulate(fuzz_engine(), sc, pooled),
                          seed);
   }
 }

@@ -260,14 +260,14 @@ struct Observation {
   std::size_t event_count = 0;
 };
 
-Observation observe(const SimContext& ctx) {
+Observation observe(const SimContext& ctx,
+                    serve::ServingConfig cfg = stress_config()) {
   TraceRecorder trace;
   MetricsRegistry metrics;
   ServeRecorder rec(&trace, &metrics);
-  serve::ServingConfig cfg = stress_config();
   cfg.recorder = &rec;
   Observation out;
-  out.stats = serve::simulate_cluster_detailed(test_engine(), cfg, ctx);
+  out.stats = serve::simulate(test_engine(), cfg, ctx);
   out.trace_json = trace.to_json();
   out.metrics_text = metrics.expose();
   out.event_count = trace.events().size();
@@ -304,7 +304,7 @@ TEST(ServeRecorderSim, ByteIdenticalAcrossThreadCountsAndRepeatRuns) {
 
 TEST(ServeRecorderSim, RecorderDoesNotChangeSchedulingResults) {
   const serve::ServingConfig plain = stress_config();
-  const auto base = serve::simulate_cluster_detailed(test_engine(), plain);
+  const auto base = serve::simulate(test_engine(), plain);
   const Observation obs = observe(SimContext::serial_context());
   EXPECT_EQ(base.sched.metrics.completed, obs.stats.sched.metrics.completed);
   EXPECT_EQ(base.sched.metrics.mean_tpot_ms,
@@ -319,7 +319,7 @@ TEST(ServeRecorderSim, SpansBalanceAndTimestampsAreMonotonePerTrack) {
   ServeRecorder rec(&trace, nullptr);
   serve::ServingConfig cfg = stress_config();
   cfg.recorder = &rec;
-  (void)serve::simulate_cluster_detailed(test_engine(), cfg);
+  (void)serve::simulate(test_engine(), cfg);
 
   std::map<std::pair<std::int64_t, std::int64_t>, double> last_ts;
   std::map<std::pair<std::int64_t, std::int64_t>, std::vector<std::string>>
@@ -353,6 +353,16 @@ TEST(ServeRecorderSim, SpansBalanceAndTimestampsAreMonotonePerTrack) {
   }
 }
 
+// Every scheduler counter is exported under its table row's name.
+void expect_counter_rows_exported(const Observation& obs) {
+  for (const serve::sched::SchedCounterField& f :
+       serve::sched::kSchedCounterFields) {
+    EXPECT_EQ(metric_value(obs.metrics_text, f.metric),
+              static_cast<double>(obs.stats.sched.*f.member))
+        << f.metric;
+  }
+}
+
 TEST(ServeRecorderSim, MetricsAgreeWithSchedStats) {
   const Observation obs = observe(SimContext::serial_context());
   const auto& st = obs.stats.sched;
@@ -361,28 +371,9 @@ TEST(ServeRecorderSim, MetricsAgreeWithSchedStats) {
   EXPECT_GT(st.preemptions, 0);
   EXPECT_GT(st.shed, 0);
   EXPECT_GT(st.spec_rounds, 0);
-  EXPECT_EQ(metric_value(text, "marlin_preemptions_total"),
-            static_cast<double>(st.preemptions));
-  EXPECT_EQ(metric_value(text, "marlin_requests_shed_total"),
-            static_cast<double>(st.shed));
+  expect_counter_rows_exported(obs);
   EXPECT_EQ(metric_value(text, "marlin_requests_completed_total"),
             static_cast<double>(st.metrics.completed));
-  EXPECT_EQ(metric_value(text, "marlin_prefill_steps_total"),
-            static_cast<double>(st.prefill_steps));
-  EXPECT_EQ(metric_value(text, "marlin_decode_steps_total"),
-            static_cast<double>(st.decode_steps));
-  EXPECT_EQ(metric_value(text, "marlin_spec_rounds_total"),
-            static_cast<double>(st.spec_rounds));
-  EXPECT_EQ(metric_value(text, "marlin_spec_draft_tokens_total"),
-            static_cast<double>(st.spec_draft_tokens));
-  EXPECT_EQ(metric_value(text, "marlin_spec_committed_tokens_total"),
-            static_cast<double>(st.spec_committed_tokens));
-  EXPECT_EQ(metric_value(text, "marlin_slo_ttft_violations_total"),
-            static_cast<double>(st.slo_ttft_violations));
-  EXPECT_EQ(metric_value(text, "marlin_slo_tpot_violations_total"),
-            static_cast<double>(st.slo_tpot_violations));
-  EXPECT_EQ(metric_value(text, "marlin_kv_blocks_peak"),
-            static_cast<double>(st.peak_kv_blocks));
   EXPECT_EQ(metric_value(text, "marlin_replicas_peak"),
             static_cast<double>(obs.stats.peak_replicas));
   EXPECT_EQ(metric_value(text, "marlin_ttft_ms_count"),
@@ -406,6 +397,20 @@ TEST(ServeRecorderSim, MetricsAgreeWithSchedStats) {
                              "marlin_tenant_tokens_generated_total{"
                              "tenant=\"1\"}"),
             static_cast<double>(generated));
+
+  // The prefix-cache and copy-on-write rows, with a small cache and n=2
+  // sampling so lookups, hits, evictions, forks and copies all fire.
+  serve::ServingConfig cached = stress_config();
+  cached.prefix_cache.enabled = true;
+  cached.prefix_cache.max_cached_blocks = 4;
+  cached.shared_prefix_tokens = 32;
+  cached.shared_prefix_groups = 3;
+  cached.sampling_n = 2;
+  const Observation cow = observe(SimContext::serial_context(), cached);
+  EXPECT_GT(cow.stats.sched.prefix_cache_hit_blocks, 0);
+  EXPECT_GT(cow.stats.sched.prefix_cache_evictions, 0);
+  EXPECT_GT(cow.stats.sched.cow_copies, 0);
+  expect_counter_rows_exported(cow);
 }
 
 // ------------------------------------------------- recording-off fast path
@@ -431,7 +436,7 @@ TEST(HotPath, SteadyStateDecodeTickWithNullObserverDoesNotAllocate) {
   ASSERT_EQ(s.obs, nullptr);  // recording defaults off
   sched.register_tenants(s, requests);
   for (std::size_t i = 0; i < requests.size(); ++i) s.queue.push_back(i);
-  while (s.decode_steps < 2) {
+  while (s.counters.decode_steps < 2) {
     ASSERT_TRUE(s.busy());
     sched.admit(s, requests);
     sched.step(s, requests);

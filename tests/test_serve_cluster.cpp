@@ -1,5 +1,5 @@
-// Cluster serving tier: single-replica EventLoop equivalence with the
-// legacy scheduler loop (including through the server_sim path), router
+// Cluster serving tier: single-replica EventLoop equivalence across
+// placements (and with the server_sim path), router
 // placement determinism, replica add/drain lifecycle, SLO shed
 // accounting, autoscaler round trips with no KV-block leaks, config
 // validation, and disaggregated prefill/decode pools (zero-cost-link
@@ -7,7 +7,18 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "serve/server_sim.hpp"
+
+namespace marlin::serve::sched {
+// Names every counter when a SchedCounters comparison fails.
+void PrintTo(const SchedCounters& c, std::ostream* os) {
+  for (const SchedCounterField& f : kSchedCounterFields) {
+    *os << f.metric << '=' << c.*f.member << ' ';
+  }
+}
+}  // namespace marlin::serve::sched
 
 namespace marlin::serve::cluster {
 namespace {
@@ -54,15 +65,9 @@ void expect_sched_equal(const sched::SchedStats& a,
   EXPECT_EQ(a.metrics.p90_ttft_ms, b.metrics.p90_ttft_ms);
   EXPECT_EQ(a.metrics.mean_batch, b.metrics.mean_batch);
   EXPECT_EQ(a.metrics.completed, b.metrics.completed);
-  EXPECT_EQ(a.preemptions, b.preemptions);
-  EXPECT_EQ(a.rejected, b.rejected);
-  EXPECT_EQ(a.shed, b.shed);
-  EXPECT_EQ(a.prefill_steps, b.prefill_steps);
-  EXPECT_EQ(a.decode_steps, b.decode_steps);
-  EXPECT_EQ(a.peak_kv_blocks, b.peak_kv_blocks);
+  EXPECT_EQ(static_cast<const sched::SchedCounters&>(a),
+            static_cast<const sched::SchedCounters&>(b));
   EXPECT_EQ(a.sim_end_s, b.sim_end_s);
-  EXPECT_EQ(a.slo_ttft_violations, b.slo_ttft_violations);
-  EXPECT_EQ(a.slo_tpot_violations, b.slo_tpot_violations);
   ASSERT_EQ(a.requests.size(), b.requests.size());
   for (std::size_t i = 0; i < a.requests.size(); ++i) {
     EXPECT_EQ(a.requests[i].first_token_s, b.requests[i].first_token_s);
@@ -74,13 +79,14 @@ void expect_sched_equal(const sched::SchedStats& a,
 
 // ------------------------------------------- single-replica equivalence
 
-TEST(SingleReplicaEquivalence, EventLoopMatchesSchedulerRunAllPlacements) {
+TEST(SingleReplicaEquivalence, EveryPlacementMatchesTheDefaultRun) {
   const sched::Scheduler sch(test_engine(), sched_cfg(96));
   const auto trace = make_trace(6.0, 20.0);
-  const sched::SchedStats base = sch.run(trace);
+  const sched::SchedStats base =
+      EventLoop(sch, ClusterOptions{}).run(trace).sched;
   EXPECT_GT(base.metrics.completed, 0);
   // Placement cannot matter with one replica; every policy must reduce to
-  // the legacy loop bit-for-bit.
+  // the default round-robin run bit-for-bit.
   for (const auto placement :
        {Placement::kRoundRobin, Placement::kLeastLoaded,
         Placement::kSessionAffinity}) {
@@ -99,14 +105,21 @@ TEST(SingleReplicaEquivalence, EventLoopMatchesSchedulerRunAllPlacements) {
 }
 
 TEST(SingleReplicaEquivalence, ServerSimPathsAgree) {
+  // `simulate` is only an adapter: the trace and scheduler it builds,
+  // run through a default 1-replica EventLoop directly, give the same
+  // bits.
   ServingConfig sc;
   sc.qps = 4.0;
   sc.duration_s = 15.0;
   sc.kv_blocks = 96;
-  const sched::SchedStats legacy =
-      simulate_serving_detailed(test_engine(), sc);
-  const ClusterStats cs = simulate_cluster_detailed(test_engine(), sc);
-  expect_sched_equal(legacy, cs.sched);
+  const ClusterStats cs = simulate(test_engine(), sc);
+  sched::WorkloadConfig w;
+  w.qps = sc.qps;
+  w.duration_s = sc.duration_s;
+  const sched::Scheduler sch(test_engine(), sched_cfg(sc.kv_blocks));
+  const ClusterStats direct =
+      EventLoop(sch, ClusterOptions{}).run(sched::generate_trace(w));
+  expect_sched_equal(direct.sched, cs.sched);
   // No SLO configured: the new accounting must stay inert.
   EXPECT_EQ(cs.sched.shed, 0);
   EXPECT_EQ(cs.sched.slo_ttft_violations, 0);
@@ -259,7 +272,7 @@ TEST(SloShedding, TightTtftDeadlineShedsHopelessRequestsOnly) {
   sc.duration_s = 8.0;
   sc.kv_blocks = 64;
   sc.slo.ttft_deadline_ms = 30.0;
-  const ClusterStats cs = simulate_cluster_detailed(test_engine(), sc);
+  const ClusterStats cs = simulate(test_engine(), sc);
   const sched::SchedStats& st = cs.sched;
   EXPECT_GT(st.shed, 0);
   ASSERT_EQ(cs.replicas.size(), 1u);
@@ -289,7 +302,7 @@ TEST(SloShedding, TpotDeadlineOnlyAccountsViolations) {
   sc.qps = 2.0;
   sc.duration_s = 10.0;
   sc.slo.tpot_deadline_ms = 0.001;  // impossible: every completion violates
-  const ClusterStats cs = simulate_cluster_detailed(test_engine(), sc);
+  const ClusterStats cs = simulate(test_engine(), sc);
   EXPECT_EQ(cs.sched.shed, 0);  // no TTFT deadline, nothing is shed
   EXPECT_GT(cs.sched.metrics.completed, 0);
   EXPECT_EQ(cs.sched.slo_tpot_violations, cs.sched.metrics.completed);
@@ -316,7 +329,7 @@ ServingConfig bursty_autoscaled() {
 
 TEST(Autoscaler, AddDrainRoundTripWithoutKvLeaks) {
   const ServingConfig sc = bursty_autoscaled();
-  const ClusterStats cs = simulate_cluster_detailed(test_engine(), sc);
+  const ClusterStats cs = simulate(test_engine(), sc);
   EXPECT_GT(cs.replicas_added, 0);
   EXPECT_GT(cs.replicas_drained, 0);
   EXPECT_GT(cs.peak_replicas, 1);
@@ -342,8 +355,8 @@ TEST(Autoscaler, AddDrainRoundTripWithoutKvLeaks) {
 
 TEST(Autoscaler, RunsReproduceBitIdentically) {
   const ServingConfig sc = bursty_autoscaled();
-  const ClusterStats a = simulate_cluster_detailed(test_engine(), sc);
-  const ClusterStats b = simulate_cluster_detailed(test_engine(), sc);
+  const ClusterStats a = simulate(test_engine(), sc);
+  const ClusterStats b = simulate(test_engine(), sc);
   expect_sched_equal(a.sched, b.sched);
   EXPECT_EQ(a.replicas_added, b.replicas_added);
   EXPECT_EQ(a.replicas_drained, b.replicas_drained);
@@ -384,16 +397,17 @@ ClusterOptions disagg_1p1d(double kv_bytes_per_token = 0.0,
 TEST(DisaggDifferential, ZeroCostLinkMatchesUnifiedAndLegacyBitForBit) {
   const sched::Scheduler sch(test_engine(), sched_cfg(96));
   const auto trace = sparse_trace(4, 20.0);
+  const sched::SchedStats base =
+      EventLoop(sch, ClusterOptions{}).run(trace).sched;
+  EXPECT_EQ(base.metrics.completed, 4);
   for (const int threads : {1, 4}) {
     const SimContext ctx(threads);
-    const sched::SchedStats legacy = sch.run(trace, ctx);
-    EXPECT_EQ(legacy.metrics.completed, 4);
     const ClusterStats unified =
         EventLoop(sch, ClusterOptions{}).run(trace, ctx);
     const ClusterStats disagg =
         EventLoop(sch, disagg_1p1d()).run(trace, ctx);
-    expect_sched_equal(legacy, unified.sched);
-    expect_sched_equal(legacy, disagg.sched);
+    expect_sched_equal(base, unified.sched);
+    expect_sched_equal(base, disagg.sched);
     // The handoffs really happened — equivalence is not migration
     // having silently fallen back to in-place decoding.
     EXPECT_EQ(disagg.migrations, 4);
@@ -459,6 +473,10 @@ TEST(DisaggMigration, TransferCanMissATtftDeadlineThePrefillMet) {
       EventLoop(sch, disagg_1p1d(1e3, 1e4, 0.0)).run(trace);  // 6.4 s/transfer
   EXPECT_EQ(slow.migrations, 2);
   EXPECT_EQ(slow.sched.slo_ttft_violations, 2);
+  // Charged to the prefill replica the requests left.
+  ASSERT_EQ(slow.replicas.size(), 2u);
+  EXPECT_EQ(slow.replicas[0].slo_ttft_violations, 2);
+  EXPECT_EQ(slow.replicas[1].slo_ttft_violations, 0);
 }
 
 TEST(DisaggMigration, FullDecodePoolFallsBackToDecodingInPlace) {
@@ -572,7 +590,7 @@ TEST(DisaggMigration, DestinationPrefixCacheSkipsTransferredBlocks) {
   src.migrate_out(1, requests);
   const index_t skipped = dst.begin_migration(1, requests);
   EXPECT_EQ(skipped, 64);
-  EXPECT_EQ(dst.state().prefix_tokens_skipped, 64);
+  EXPECT_EQ(dst.state().counters.prefix_tokens_skipped, 64);
   dst.finish_migration(1, src.now(), requests);
   while (!requests[1].finished()) dst.tick(requests);
   EXPECT_EQ(src.state().bm.used_blocks(), 0);
@@ -588,7 +606,7 @@ TEST(DisaggMigration, EndToEndServerSimPricesTransfersFromTheEngine) {
   sc.cluster.disagg.enabled = true;
   sc.cluster.disagg.prefill_replicas = 1;
   sc.cluster.disagg.decode_replicas = 1;
-  const ClusterStats cs = simulate_cluster_detailed(test_engine(), sc);
+  const ClusterStats cs = simulate(test_engine(), sc);
   EXPECT_GT(cs.migrations, 0);
   EXPECT_GT(cs.transferred_tokens, 0);
   // kv_bytes_per_token auto-derives from the engine (> 0), and the link
@@ -601,7 +619,7 @@ TEST(DisaggMigration, EndToEndServerSimPricesTransfersFromTheEngine) {
     EXPECT_EQ(rep.leaked_kv_blocks, 0);
   }
   // Bit-identical repeat.
-  const ClusterStats again = simulate_cluster_detailed(test_engine(), sc);
+  const ClusterStats again = simulate(test_engine(), sc);
   expect_sched_equal(cs.sched, again.sched);
   EXPECT_EQ(cs.migrations, again.migrations);
   EXPECT_EQ(cs.transfer_bytes, again.transfer_bytes);

@@ -629,7 +629,7 @@ TEST(HotPath, SteadyStateDecodeTickDoesNotAllocate) {
   // Warm-up ticks: one admission (grows the scratch and reserves each
   // request's lifetime block vector), the prefill round, and two decode
   // rounds to settle every lazily-grown container.
-  while (s.decode_steps < 2) {
+  while (s.counters.decode_steps < 2) {
     ASSERT_TRUE(s.busy());
     sched.admit(s, requests);
     sched.step(s, requests);
@@ -644,7 +644,7 @@ TEST(HotPath, SteadyStateDecodeTickDoesNotAllocate) {
   const std::uint64_t allocs = alloc_count() - before;
   EXPECT_EQ(allocs, 0u)
       << allocs << " heap allocations across 5 steady-state decode ticks";
-  EXPECT_EQ(s.decode_steps, 7);
+  EXPECT_EQ(s.counters.decode_steps, 7);
   EXPECT_EQ(s.running.size(), requests.size());  // still mid-decode
 
   // Drain to completion: every block returns to the manager.
