@@ -25,6 +25,11 @@ shape-checked when present:
 Wall-times are machine-dependent by design and are NOT compared — only
 shape is validated, so the check is deterministic across hosts.
 
+The newest file (highest ``<n>`` in ``BENCH_<n>.json``) must also be the
+one the docs and the build name: the ``latest:`` pointer in
+``docs/performance.md`` and ``MARLIN_BENCH_JSON_NAME`` in
+``bench/CMakeLists.txt``.
+
 Usage:  check_bench_json.py [repo_root]
 Exit status: 0 = every BENCH_*.json is well-formed, 1 = problems found.
 """
@@ -33,6 +38,7 @@ import glob
 import json
 import math
 import os
+import re
 import sys
 
 
@@ -69,6 +75,32 @@ def check_record(path: str, i: int, rec: object, failures: list) -> str:
     return bench
 
 
+def check_pointers(root: str, paths: list, failures: list) -> None:
+    """Fails unless the docs' `latest:` pointer and the CMake file name
+    both name the newest BENCH_<n>.json."""
+    numbered = [(int(m.group(1)), m.group(0)) for m in (
+        re.fullmatch(r"BENCH_(\d+)\.json", os.path.basename(p))
+        for p in paths) if m]
+    if not numbered:
+        return
+    newest = max(numbered)[1]
+    for rel, pattern in (
+            ("docs/performance.md", r"latest:\s*`(BENCH_[^`]*\.json)`"),
+            ("bench/CMakeLists.txt",
+             r"set\(MARLIN_BENCH_JSON_NAME\s+(BENCH_\S*\.json)\)")):
+        path = os.path.join(root, rel)
+        if not os.path.isfile(path):
+            continue
+        with open(path, encoding="utf-8") as fh:
+            m = re.search(pattern, fh.read())
+        if m is None:
+            failures.append(f"{rel}: no pointer to the newest bench file "
+                            f"({newest}) found")
+        elif m.group(1) != newest:
+            failures.append(f"{rel}: names {m.group(1)}, but the newest "
+                            f"file is {newest}")
+
+
 def main() -> int:
     root = os.path.abspath(sys.argv[1] if len(sys.argv) > 1 else ".")
     paths = sorted(glob.glob(os.path.join(root, "BENCH_*.json")))
@@ -100,6 +132,7 @@ def main() -> int:
                     f"`{bench}`")
             seen.add(bench)
         records += len(data)
+    check_pointers(root, paths, failures)
 
     if failures:
         print(f"{len(failures)} bench-json problem(s):")

@@ -4,6 +4,7 @@
 #include <deque>
 
 #include "obs/serve_recorder.hpp"
+#include "serve/cluster/replica_heap.hpp"
 #include "util/error.hpp"
 
 namespace marlin::serve::cluster {
@@ -90,6 +91,26 @@ ClusterStats EventLoop::run(const std::vector<sched::TraceRequest>& trace,
       disagg.enabled ? disagg.prefill_replicas + disagg.decode_replicas
                      : opts_.replicas;
   std::deque<Replica> fleet;
+  // The frontier: every busy replica keyed (clock, id). A replica's key is
+  // refreshed wherever its clock or busy() can change — after `deliver`,
+  // after `tick` (plus the migrations decided on it) and after
+  // `finish_migration` — so the top is always the earliest busy replica,
+  // lowest id on ties.
+  ReplicaHeap busy;
+  busy.reserve(static_cast<std::size_t>(
+      std::max(initial_replicas,
+               opts_.autoscaler.enabled ? opts_.autoscaler.max_replicas
+                                        : index_t{0})));
+  const auto refresh = [&](const Replica& rep) {
+    const auto id = static_cast<std::size_t>(rep.id());
+    if (rep.busy()) {
+      busy.set(id, rep.now());
+    } else {
+      busy.erase(id);
+    }
+  };
+  // Draining replicas in id order — the only ones that can retire.
+  std::vector<std::size_t> draining;
   for (index_t i = 0; i < initial_replicas; ++i) {
     const ReplicaRole role =
         !disagg.enabled ? ReplicaRole::kUnified
@@ -110,22 +131,17 @@ ClusterStats EventLoop::run(const std::vector<sched::TraceRequest>& trace,
     for (const Replica& rep : fleet) n += rep.routable() ? 1 : 0;
     return n;
   };
-  const auto earliest_busy = [&]() -> Replica* {
-    Replica* best = nullptr;
-    for (Replica& rep : fleet) {
-      // Strict < keeps the lowest id on ties.
-      if (rep.busy() && (best == nullptr || rep.now() < best->now())) {
-        best = &rep;
-      }
-    }
-    return best;
-  };
   const auto retire_drained = [&] {
-    for (Replica& rep : fleet) {
-      if (rep.try_retire() && obs != nullptr) {
+    std::size_t kept = 0;
+    for (const std::size_t i : draining) {
+      Replica& rep = fleet[i];
+      if (!rep.try_retire()) {
+        draining[kept++] = i;
+      } else if (obs != nullptr) {
         obs->on_replica_retire(rep.now(), rep.id());
       }
     }
+    draining.resize(kept);
   };
 
   // ---- prefill -> decode migration (disaggregated pools) ---------------
@@ -135,12 +151,23 @@ ClusterStats EventLoop::run(const std::vector<sched::TraceRequest>& trace,
   // until `ready_s = t + link time`, when it joins the destination's
   // decode batch. In-flight handoffs are loop events like arrivals: they
   // bound the idle frontier and are delivered once the frontier passes.
+  // They wait in a min-heap keyed (ready_s, decision seq); the handoffs a
+  // frontier passes are delivered in decision order, not ready order (a
+  // later decision can land first, and the order of a destination's
+  // running batch is observable).
   struct PendingMigration {
+    double ready_s;
+    std::size_t seq;  // decision order
     std::size_t request_id;
     std::size_t dest;  // fleet index
-    double ready_s;
   };
-  std::vector<PendingMigration> pending;
+  const auto later = [](const PendingMigration& a,
+                        const PendingMigration& b) {
+    return a.ready_s > b.ready_s || (a.ready_s == b.ready_s && a.seq > b.seq);
+  };
+  std::vector<PendingMigration> pending;  // heap ordered by `later`
+  std::vector<PendingMigration> landed;   // scratch: one frontier's handoffs
+  std::size_t next_seq = 0;
 
   const auto link_stats_for = [&](index_t src, index_t dst) -> LinkStats& {
     for (LinkStats& l : stats.links) {
@@ -226,9 +253,9 @@ ClusterStats EventLoop::run(const std::vector<sched::TraceRequest>& trace,
         obs->on_kv_transfer(t0, ready_s, r.id, src.id(), dest->id(), bytes,
                             moved);
       }
-      pending.push_back(
-          PendingMigration{id, static_cast<std::size_t>(dest->id()),
-                           ready_s});
+      pending.push_back(PendingMigration{
+          ready_s, next_seq++, id, static_cast<std::size_t>(dest->id())});
+      std::push_heap(pending.begin(), pending.end(), later);
     }
   };
 
@@ -277,6 +304,8 @@ ClusterStats EventLoop::run(const std::vector<sched::TraceRequest>& trace,
         for (std::size_t i = fleet.size(); i-- > 0;) {
           if (fleet[i].routable()) {
             fleet[i].begin_drain();
+            draining.insert(
+                std::upper_bound(draining.begin(), draining.end(), i), i);
             ++stats.replicas_drained;
             if (obs != nullptr) {
               obs->on_replica_drain(t_eval, fleet[i].id());
@@ -292,56 +321,59 @@ ClusterStats EventLoop::run(const std::vector<sched::TraceRequest>& trace,
   };
 
   while (true) {
-    Replica* target = earliest_busy();
     double frontier;
-    if (target == nullptr) {
+    if (busy.empty()) {
       // Idle jump to the next event: an undelivered arrival or an
       // in-flight migration, whichever lands first. Neither left means
       // the trace is drained.
-      bool have_event = false;
-      frontier = 0.0;
       if (next_arrival < requests.size()) {
         frontier = requests[next_arrival].arrival_s;
-        have_event = true;
-      }
-      for (const PendingMigration& p : pending) {
-        if (!have_event || p.ready_s < frontier) {
-          frontier = p.ready_s;
-          have_event = true;
+        if (!pending.empty()) {
+          frontier = std::min(frontier, pending.front().ready_s);
         }
+      } else if (!pending.empty()) {
+        frontier = pending.front().ready_s;
+      } else {
+        break;
       }
-      if (!have_event) break;
     } else {
-      frontier = target->now();
+      frontier = busy.top_clock();
     }
 
     autoscale_upto(frontier);
 
-    // Deliver every in-flight migration the frontier has passed (list
-    // order is decision order, so ties resolve deterministically).
-    for (std::size_t i = 0; i < pending.size();) {
-      if (pending[i].ready_s <= frontier) {
-        fleet[pending[i].dest].finish_migration(pending[i].request_id,
-                                                pending[i].ready_s, requests);
-        pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(i));
-      } else {
-        ++i;
-      }
+    // Deliver every in-flight migration the frontier has passed, in
+    // decision order (ties resolve deterministically).
+    landed.clear();
+    while (!pending.empty() && pending.front().ready_s <= frontier) {
+      std::pop_heap(pending.begin(), pending.end(), later);
+      landed.push_back(pending.back());
+      pending.pop_back();
+    }
+    std::sort(landed.begin(), landed.end(),
+              [](const PendingMigration& a, const PendingMigration& b) {
+                return a.seq < b.seq;
+              });
+    for (const PendingMigration& m : landed) {
+      Replica& dest = fleet[m.dest];
+      dest.finish_migration(m.request_id, m.ready_s, requests);
+      refresh(dest);
     }
 
     // Deliver (route) every arrival the frontier has passed.
     while (next_arrival < requests.size() &&
            requests[next_arrival].arrival_s <= frontier) {
-      const std::size_t placed =
-          router.pick(requests[next_arrival], fleet, requests);
-      fleet[placed].deliver(next_arrival, requests);
+      Replica& placed = fleet[router.pick(requests[next_arrival], fleet,
+                                          requests)];
+      placed.deliver(next_arrival, requests);
+      refresh(placed);
       ++next_arrival;
     }
 
     // Delivery can wake a replica whose clock is earlier than the old
-    // frontier; re-pick so ticks stay globally time-ordered.
-    target = earliest_busy();
-    MARLIN_ASSERT(target != nullptr);
+    // frontier; the heap top keeps ticks globally time-ordered.
+    MARLIN_ASSERT(!busy.empty());
+    Replica* const target = &fleet[busy.top()];
 
     // Liveness guard: a tick of a busy replica must change *something*
     // (the clock, a flight, or a terminal counter) or the loop would spin
@@ -365,6 +397,7 @@ ClusterStats EventLoop::run(const std::vector<sched::TraceRequest>& trace,
     if (disagg.enabled && target->role() == ReplicaRole::kPrefill) {
       scan_migrations(*target);
     }
+    refresh(*target);
 
     retire_drained();
   }

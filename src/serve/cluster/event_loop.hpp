@@ -18,6 +18,9 @@
 //   4. The earliest busy replica (ties: lowest id) is *ticked*: one
 //      admission pass plus one engine step (see Scheduler's passive API).
 //
+// Busy replicas are kept in a `(clock, id)` ReplicaHeap, so finding the
+// earliest is O(log R) per tick rather than a scan of the fleet.
+//
 // With one replica this reduces — engine call for engine call — to the
 // original single-engine loop: step 3 is its `admit_arrivals(now)`, the
 // idle frontier is its idle jump, and step 4 is its loop body. That

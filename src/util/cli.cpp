@@ -1,5 +1,8 @@
 #include "util/cli.hpp"
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 #include "util/error.hpp"
@@ -35,17 +38,42 @@ std::string CliArgs::get_string(const std::string& name,
   return it == flags_.end() ? fallback : it->second;
 }
 
+namespace {
+
+/// True when `strto*` consumed all of a non-empty `value` without
+/// skipping leading blanks or overflowing.
+bool parsed_whole(const std::string& value, const char* end) {
+  return !value.empty() &&
+         std::isspace(static_cast<unsigned char>(value.front())) == 0 &&
+         end == value.c_str() + value.size() && errno != ERANGE;
+}
+
+}  // namespace
+
 std::int64_t CliArgs::get_int(const std::string& name,
                               std::int64_t fallback) const {
   const auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
+  const std::string& value = it->second;
+  char* end = nullptr;
+  errno = 0;
+  const long long parsed = std::strtoll(value.c_str(), &end, 10);
+  MARLIN_CHECK(parsed_whole(value, end),
+               "--" << name << " expects an integer, got `" << value << "`");
+  return parsed;
 }
 
 double CliArgs::get_double(const std::string& name, double fallback) const {
   const auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
-  return std::strtod(it->second.c_str(), nullptr);
+  const std::string& value = it->second;
+  char* end = nullptr;
+  errno = 0;
+  const double parsed = std::strtod(value.c_str(), &end);
+  MARLIN_CHECK(parsed_whole(value, end) && std::isfinite(parsed),
+               "--" << name << " expects a finite number, got `" << value
+                    << "`");
+  return parsed;
 }
 
 bool CliArgs::get_bool(const std::string& name, bool fallback) const {

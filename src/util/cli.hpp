@@ -16,6 +16,9 @@ class CliArgs {
   [[nodiscard]] bool has(const std::string& name) const;
   [[nodiscard]] std::string get_string(const std::string& name,
                                        const std::string& fallback) const;
+  /// Numeric getters throw `Error` naming the flag and its value when the
+  /// value is empty, not a number, carries trailing characters or is out
+  /// of range (`get_double` also rejects inf and nan).
   [[nodiscard]] std::int64_t get_int(const std::string& name,
                                      std::int64_t fallback) const;
   [[nodiscard]] double get_double(const std::string& name,

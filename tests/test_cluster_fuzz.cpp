@@ -12,14 +12,22 @@
 //   - the per-replica counters fold (`+=`) to the fleet counters exactly,
 //   - repeat runs reproduce bit-identically (subset of seeds).
 //
-// The sweep size defaults to 200 fixed seeds and can be narrowed with
-// MARLIN_FUZZ_SEEDS=<n> (the sanitizer CI job runs a subset; the seeds
-// themselves never change, so failures reproduce by number).
+// A second, fleet-scale sweep draws from its own generator: 8-64 unified
+// replicas under every placement, the autoscaler adding, draining and
+// retiring replicas mid-run on about a third of its seeds, and
+// disaggregated pools up to 4+4 — the event loop's frontier heap under
+// inserts and removals the small sweep never reaches.
+//
+// The sweeps default to 200 and 48 fixed seeds; MARLIN_FUZZ_SEEDS=<n>
+// runs seeds 1..n of each instead (the sanitizer CI job runs a subset;
+// the seeds themselves never change, so failures reproduce by number).
 //
 // Registered under the ctest label `fuzz`.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdlib>
 #include <ostream>
 #include <random>
@@ -50,12 +58,13 @@ const Engine& fuzz_engine() {
   return engine;
 }
 
-index_t seed_count() {
+/// MARLIN_FUZZ_SEEDS when set, else `fallback`.
+index_t seed_count(index_t fallback) {
   if (const char* env = std::getenv("MARLIN_FUZZ_SEEDS")) {
     const int n = std::atoi(env);
     if (n > 0) return n;
   }
-  return 200;
+  return fallback;
 }
 
 /// Deterministic config for one seed. The generator is seeded by the
@@ -128,6 +137,75 @@ ServingConfig config_for_seed(std::uint64_t seed) {
         std::array{cluster::Placement::kRoundRobin,
                    cluster::Placement::kLeastLoaded,
                    cluster::Placement::kSessionAffinity}[pick(0, 2)];
+  }
+  return sc;
+}
+
+/// Deterministic fleet-scale config for one seed, on a generator of its
+/// own so `config_for_seed`'s seed -> config mapping is untouched. Short
+/// windows keep a 64-replica run cheap; a tight batch cap on autoscaled
+/// seeds builds the queues that make the autoscaler add replicas, and the
+/// traffic ending makes it drain and retire them.
+ServingConfig fleet_config_for_seed(std::uint64_t seed) {
+  std::mt19937_64 rng(seed * 0xBF58476D1CE4E5B9ull + 0x94D049BB133111EBull);
+  const auto pick = [&](int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(rng);
+  };
+  const auto pickd = [&](double lo, double hi) {
+    return std::uniform_real_distribution<double>(lo, hi)(rng);
+  };
+
+  ServingConfig sc;
+  sc.seed = seed;
+  sc.duration_s = pickd(1.0, 2.5);
+  sc.input_tokens = pick(16, 64);
+  sc.output_tokens = pick(4, 24);
+  sc.max_batch = pick(8, 48);
+  sc.shape = std::array{sched::WorkloadShape::kPoisson,
+                        sched::WorkloadShape::kBursty,
+                        sched::WorkloadShape::kShareGpt}[pick(0, 2)];
+  sc.policy = std::array{sched::SchedPolicy::kFcfs,
+                         sched::SchedPolicy::kShortestJob,
+                         sched::SchedPolicy::kMaxUtilization,
+                         sched::SchedPolicy::kWeightedFair}[pick(0, 3)];
+  sc.kv_blocks = pick(0, 2) == 0 ? 0 : pick(64, 192);
+  if (pick(0, 2) == 0) {
+    sc.prefix_cache.enabled = true;
+    sc.shared_prefix_tokens = pick(1, 3) * 16;
+    sc.shared_prefix_groups = pick(1, 4);
+    sc.shared_prefix_share = pickd(0.3, 1.0);
+  }
+  if (pick(0, 2) == 0) {
+    sc.slo.ttft_deadline_ms = pickd(50.0, 500.0);
+    sc.slo.tpot_deadline_ms = pickd(5.0, 50.0);
+  }
+
+  const int mode = pick(0, 5);
+  if (mode == 0) {  // disaggregated pools, up to 4+4
+    sc.cluster.disagg.enabled = true;
+    sc.cluster.disagg.prefill_replicas = pick(1, 4);
+    sc.cluster.disagg.decode_replicas = pick(1, 4);
+    sc.qps = pickd(8.0, 40.0);
+    return sc;
+  }
+  const index_t replicas = pick(8, 64);
+  sc.cluster.replicas = replicas;
+  sc.cluster.placement =
+      std::array{cluster::Placement::kRoundRobin,
+                 cluster::Placement::kLeastLoaded,
+                 cluster::Placement::kSessionAffinity}[pick(0, 2)];
+  sc.qps = pickd(2.0, 6.0) * static_cast<double>(replicas);
+  if (mode <= 2) {  // autoscaled: overloaded, so queues build and drain
+    cluster::AutoscalerConfig& as = sc.cluster.autoscaler;
+    as.enabled = true;
+    as.min_replicas = std::max<index_t>(1, replicas - pick(2, 8));
+    as.max_replicas = replicas + pick(2, 16);
+    as.interval_s = pickd(0.1, 0.4);
+    as.scale_up_queue_per_replica = pickd(0.5, 3.0);
+    as.scale_down_queue_per_replica =
+        pickd(0.05, 0.5) * as.scale_up_queue_per_replica;
+    sc.max_batch = pick(2, 6);
+    sc.qps *= pickd(2.0, 4.0);
   }
   return sc;
 }
@@ -241,7 +319,7 @@ void expect_bit_identical(const cluster::ClusterStats& a,
 }
 
 TEST(ClusterFuzz, InvariantsHoldAcrossTheSeedSweep) {
-  const index_t seeds = seed_count();
+  const index_t seeds = seed_count(200);
   for (index_t seed = 1; seed <= seeds; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     const ServingConfig sc = config_for_seed(seed);
@@ -255,6 +333,45 @@ TEST(ClusterFuzz, InvariantsHoldAcrossTheSeedSweep) {
                            seed);
     }
     if (HasFatalFailure()) return;
+  }
+}
+
+TEST(ClusterFuzz, FleetScaleInvariantsHoldAcrossTheSeedSweep) {
+  const index_t seeds = seed_count(48);
+  index_t autoscaled = 0;
+  index_t added = 0;
+  index_t drained = 0;
+  index_t retired = 0;
+  index_t migrations = 0;
+  for (index_t seed = 1; seed <= seeds; ++seed) {
+    SCOPED_TRACE("fleet seed " + std::to_string(seed));
+    const ServingConfig sc = fleet_config_for_seed(seed);
+    const cluster::ClusterStats cs = simulate(fuzz_engine(), sc);
+    check_invariants(cs, seed);
+    EXPECT_GT(cs.sched.requests.size(), 0u) << "fleet seed " << seed;
+    if (sc.cluster.autoscaler.enabled) {
+      ++autoscaled;
+      added += cs.replicas_added;
+      drained += cs.replicas_drained;
+      for (const auto& rep : cs.replicas) {
+        retired += rep.lifecycle == cluster::ReplicaLifecycle::kRetired;
+      }
+    }
+    migrations += cs.migrations;
+    // Every 4th seed: the run must reproduce bit-for-bit from scratch.
+    if (seed % 4 == 0) {
+      expect_bit_identical(cs, simulate(fuzz_engine(), sc), seed);
+    }
+    if (HasFatalFailure()) return;
+  }
+  // The sweep must actually exercise what it exists for: mid-run
+  // additions, drains and retirements, and disaggregated handoffs.
+  if (seeds >= 16) {
+    EXPECT_GT(autoscaled, 0);
+    EXPECT_GT(added, 0);
+    EXPECT_GT(drained, 0);
+    EXPECT_GT(retired, 0);
+    EXPECT_GT(migrations, 0);
   }
 }
 

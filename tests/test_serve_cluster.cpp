@@ -2,13 +2,17 @@
 // placements (and with the server_sim path), router
 // placement determinism, replica add/drain lifecycle, SLO shed
 // accounting, autoscaler round trips with no KV-block leaks, config
-// validation, and disaggregated prefill/decode pools (zero-cost-link
-// differential equivalence, priced KV transfers, migration edge cases).
+// validation, disaggregated prefill/decode pools (zero-cost-link
+// differential equivalence, priced KV transfers, migration edge cases),
+// and the event loop's (clock, id) frontier heap.
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <ostream>
+#include <random>
 
+#include "serve/cluster/replica_heap.hpp"
 #include "serve/server_sim.hpp"
 
 namespace marlin::serve::sched {
@@ -217,6 +221,71 @@ TEST(RouterPlacement, NoRoutableReplicaThrows) {
   fleet[0].begin_drain();
   Router router(Placement::kRoundRobin);
   EXPECT_THROW((void)router.pick(requests[0], fleet, requests), Error);
+}
+
+// ------------------------------------------------------ frontier heap
+
+// Random insert / key raise / key lower / remove sequences over a small id
+// range with clocks drawn from a handful of values, so equal clocks are
+// common. After every operation the top must be what a linear scan in id
+// order with strict `<` picks: the earliest clock, lowest id on ties.
+TEST(ReplicaHeap, TopMatchesAStrictLessLowestIdScan) {
+  constexpr std::size_t kIds = 24;
+  std::mt19937_64 rng(0x5EEDull);
+  const auto pick = [&](std::size_t lo, std::size_t hi) {
+    return std::uniform_int_distribution<std::size_t>(lo, hi)(rng);
+  };
+  ReplicaHeap heap;
+  heap.reserve(kIds / 2);  // ids beyond the reservation grow it
+  std::map<std::size_t, double> model;  // id -> clock, ascending id
+  for (int op = 0; op < 20000; ++op) {
+    const std::size_t id = pick(0, kIds - 1);
+    const auto it = model.find(id);
+    const std::size_t kind = pick(0, 3);
+    if (kind == 0) {  // remove (absent ids are a no-op)
+      heap.erase(id);
+      if (it != model.end()) model.erase(it);
+    } else if (kind == 1 && it != model.end()) {  // key raise
+      it->second += static_cast<double>(pick(0, 2));
+      heap.set(id, it->second);
+    } else if (kind == 2 && it != model.end()) {  // key lower
+      it->second -= static_cast<double>(pick(0, 2));
+      heap.set(id, it->second);
+    } else {  // insert, or re-key to a fresh value
+      const double clock = static_cast<double>(pick(0, 6));
+      model[id] = clock;
+      heap.set(id, clock);
+    }
+    ASSERT_EQ(heap.size(), model.size()) << "op " << op;
+    ASSERT_EQ(heap.empty(), model.empty()) << "op " << op;
+    for (std::size_t i = 0; i < kIds; ++i) {
+      ASSERT_EQ(heap.contains(i), model.contains(i)) << "op " << op;
+    }
+    if (model.empty()) continue;
+    std::size_t best = model.begin()->first;
+    for (const auto& [rid, clock] : model) {
+      if (clock < model.at(best)) best = rid;  // strict <: lowest id wins
+    }
+    ASSERT_EQ(heap.top(), best) << "op " << op;
+    ASSERT_EQ(heap.top_clock(), model.at(best)) << "op " << op;
+  }
+}
+
+TEST(ReplicaHeap, DrainsInClockThenIdOrder) {
+  ReplicaHeap heap;
+  heap.reserve(5);
+  heap.set(3, 1.0);
+  heap.set(1, 2.0);
+  heap.set(4, 1.0);
+  heap.set(0, 2.0);
+  heap.set(2, 0.5);
+  heap.set(2, 3.0);  // raised past everyone
+  std::vector<std::size_t> order;
+  while (!heap.empty()) {
+    order.push_back(heap.top());
+    heap.erase(heap.top());
+  }
+  EXPECT_EQ(order, (std::vector<std::size_t>{3, 4, 0, 1, 2}));
 }
 
 // ------------------------------------------------------ replica lifecycle

@@ -135,6 +135,46 @@ TEST(Cli, ParsesAllForms) {
   EXPECT_EQ(args.positional()[0], "positional");
 }
 
+TEST(Cli, NumericGettersAcceptWholeNumbers) {
+  const char* argv[] = {"prog", "--n=-12", "--qps", "0.25", "--big=1e3"};
+  const CliArgs args(5, argv);
+  EXPECT_EQ(args.get_int("n", 0), -12);
+  EXPECT_EQ(args.get_double("qps", 0), 0.25);
+  EXPECT_EQ(args.get_double("big", 0), 1000.0);
+  EXPECT_EQ(args.get_double("missing", 1.5), 1.5);
+}
+
+TEST(Cli, NumericGettersRejectMalformedValuesNamingFlagAndValue) {
+  const char* argv[] = {"prog",        "--qps",     "abc",  "--replicas",
+                        "12x",         "--empty=",  "--gap= 3",
+                        "--frac=1.5",  "--huge=99999999999999999999",
+                        "--nan=nan",   "--bare"};
+  const CliArgs args(11, argv);
+  const auto message = [&](auto&& get) -> std::string {
+    try {
+      get();
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return "";
+  };
+  const std::string qps = message([&] { (void)args.get_double("qps", 1); });
+  EXPECT_NE(qps.find("--qps"), std::string::npos) << qps;
+  EXPECT_NE(qps.find("`abc`"), std::string::npos) << qps;
+  const std::string replicas =
+      message([&] { (void)args.get_int("replicas", 1); });
+  EXPECT_NE(replicas.find("--replicas"), std::string::npos) << replicas;
+  EXPECT_NE(replicas.find("`12x`"), std::string::npos) << replicas;
+  EXPECT_THROW((void)args.get_int("empty", 1), Error);
+  EXPECT_THROW((void)args.get_double("empty", 1), Error);
+  EXPECT_THROW((void)args.get_int("gap", 1), Error);
+  EXPECT_THROW((void)args.get_int("frac", 1), Error);
+  EXPECT_THROW((void)args.get_int("huge", 1), Error);
+  EXPECT_THROW((void)args.get_double("nan", 1), Error);
+  EXPECT_THROW((void)args.get_int("bare", 1), Error);  // parsed as "true"
+  EXPECT_EQ(args.get_double("frac", 0), 1.5);
+}
+
 // The pool is reached through SimContext — the only supported owner.
 TEST(ThreadPool, RunsAllIndices) {
   const SimContext ctx(5);  // 4 workers + caller
