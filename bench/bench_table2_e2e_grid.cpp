@@ -4,24 +4,32 @@
 // Paper shape: speedups are largest (2-3.2x) when inference is
 // memory-bound (batch <= 16) on weaker or fewer GPUs, and shrink toward
 // ~1.1-1.2x at batch 128 or with 8-way tensor parallelism on A100s.
+//
+// Every row prices its GPU count as a tensor-parallel degree through
+// parallel::ParallelEngine (per-rank shards plus ring all-reduces on the
+// device's interconnect); the 1-GPU rows are the trivial config, which
+// delegates to the single-device Engine.
 
 #include <iostream>
 
 #include "common.hpp"
 #include "serve/generation.hpp"
+#include "serve/parallel/parallel_engine.hpp"
 
 int main(int argc, char** argv) {
   using namespace marlin;
   const CliArgs args(argc, argv);
   bench::maybe_print_help(args, "bench_table2_e2e_grid",
-                          "Table 2 - end-to-end speedup grid over vLLM FP16");
+                          "Table 2 - end-to-end speedup grid over vLLM FP16",
+                          {bench::bench_json_flag_help()});
   const SimContext ctx = bench::make_context(args);
+  bench::BenchJsonReporter json(args, ctx, "bench_table2_e2e_grid");
   std::cout << "=== Table 2: end-to-end MARLIN speedup vs vLLM FP16 ===\n\n";
 
   struct Row {
     serve::ModelConfig model;
     gpusim::DeviceSpec gpu;
-    int num_gpus;
+    int gpus;
   };
   const std::vector<Row> rows{
       {serve::llama2_7b(), gpusim::a10(), 1},
@@ -37,22 +45,26 @@ int main(int argc, char** argv) {
       {serve::falcon_180b(), gpusim::a100_80g(), 8},
   };
   const std::vector<index_t> batches{1, 2, 4, 8, 16, 32, 64, 128};
+  json.set_points(rows.size() * batches.size());
 
-  // One sweep point per grid row: builds its engine pair and walks the
-  // batch axis (the engine memo makes that inner walk cheap).
+  // One sweep point per grid row: builds its engine pair, shards each
+  // across the row's GPUs and walks the batch axis (the engine memo makes
+  // that inner walk cheap).
   const auto cell_rows = bench::run_sweep(
       ctx, rows, [&](const Row& r) -> std::vector<std::string> {
         serve::EngineConfig cfg;
         cfg.model = r.model;
         cfg.gpu = r.gpu;
-        cfg.num_gpus = r.num_gpus;
         cfg.format = serve::WeightFormat::kFp16;
-        const serve::Engine fp16(cfg);
+        const serve::Engine fp16_engine(cfg);
         cfg.format = serve::WeightFormat::kMarlin;
-        const serve::Engine marlin(cfg);
+        const serve::Engine marlin_engine(cfg);
+        const serve::parallel::ParallelConfig tp{r.gpus, 1, 0};
+        const serve::parallel::ParallelEngine fp16(fp16_engine, tp);
+        const serve::parallel::ParallelEngine marlin(marlin_engine, tp);
 
         std::vector<std::string> cells{r.model.name, r.gpu.name,
-                                       std::to_string(r.num_gpus)};
+                                       std::to_string(r.gpus)};
         for (const auto b : batches) {
           const auto gf = serve::generation_time(fp16, b, 64, 64);
           const auto gm = serve::generation_time(marlin, b, 64, 64);

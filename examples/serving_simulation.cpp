@@ -11,8 +11,9 @@
 //
 // `--tp/--pp/--microbatches` shard the model across a tensor/pipeline-
 // parallel rank grid (per-rank workers, interconnect-priced all-reduce and
-// activation send/recv); `--gpus` is the legacy single-model weight split
-// and cannot be combined with them.
+// activation send/recv); they are the one way to use more than one GPU.
+// Invalid input prints one `serving_simulation: ...` line to stderr and
+// exits with status 2.
 
 #include <iostream>
 
@@ -20,9 +21,12 @@
 #include "serve/parallel/parallel_engine.hpp"
 #include "serve/server_sim.hpp"
 #include "util/cli.hpp"
+#include "util/error.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace marlin;
   namespace sched = serve::sched;
   const CliArgs args(argc, argv);
@@ -32,8 +36,6 @@ int main(int argc, char** argv) {
       "Sparse-MARLIN) on the request-level scheduler",
       {{"--model M", "target model (default llama-2-7b)"},
        {"--device D", "GPU (default rtxa6000)"},
-       {"--gpus N", "legacy single-model weight split (default 1; exclusive "
-                    "with --tp/--pp)"},
        {"--qps Q", "mean arrival rate (default 2.5)"},
        {"--duration S", "arrival window seconds (default 120)"},
        {"--input-tokens N", "prompt tokens (default 64)"},
@@ -83,13 +85,16 @@ int main(int argc, char** argv) {
         "config (MARLIN engine)"},
        {"--metrics-out FILE",
         "write the Prometheus-style metrics exposition of the same run"}});
+  if (args.has("gpus")) {
+    throw Error("--gpus is not supported; shard the model with --tp N "
+                "(and --pp N for pipeline stages)");
+  }
   const SimContext ctx = make_sim_context(args);
   const bench::ServeCliOptions cli = bench::parse_serve_cli(args, 2.5, 120.0);
   serve::EngineConfig ecfg;
   ecfg.model = serve::model_by_name(
       args.get_string("model", "llama-2-7b"));
   ecfg.gpu = gpusim::device_by_name(args.get_string("device", "rtxa6000"));
-  ecfg.num_gpus = static_cast<int>(args.get_int("gpus", 1));
 
   serve::ServingConfig scfg;
   scfg.qps = cli.qps;
@@ -116,7 +121,9 @@ int main(int argc, char** argv) {
       static_cast<int>(args.get_int("microbatches", 0));
   scfg.parallel.comm_buckets =
       static_cast<int>(args.get_int("comm-buckets", 1));
-  scfg.parallel.validate();
+  // Building the rank grid once validates it against the model (degrees,
+  // head divisibility) before anything is printed.
+  (void)serve::parallel::ParallelEngine(serve::Engine(ecfg), scfg.parallel);
   // --tenants N: N equal-weight, equal-share tenants — enough to exercise
   // the multi-tenant machinery (see bench_serve_multitenant for tiered
   // mixes with quotas).
@@ -152,10 +159,8 @@ int main(int argc, char** argv) {
     scfg.cluster.disagg.decode_replicas = args.get_int("decode-replicas", 1);
   }
 
-  const int world = scfg.parallel.world_size();
-  std::cout << ecfg.model.name << " on "
-            << (scfg.parallel.trivial() ? ecfg.num_gpus : world) << "x "
-            << ecfg.gpu.name;
+  std::cout << ecfg.model.name << " on " << scfg.parallel.world_size()
+            << "x " << ecfg.gpu.name;
   if (!scfg.parallel.trivial()) {
     std::cout << " (" << scfg.parallel.to_string() << ", "
               << ecfg.gpu.interconnect_name << ")";
@@ -262,4 +267,15 @@ int main(int argc, char** argv) {
     bench::maybe_write_observation(cli, engine, scfg);
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const marlin::Error& e) {
+    std::cerr << "serving_simulation: " << e.what() << "\n";
+    return 2;
+  }
 }

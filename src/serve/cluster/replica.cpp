@@ -113,27 +113,9 @@ index_t Replica::begin_migration(std::size_t request_id,
   MARLIN_ASSERT(request_id < requests.size());
   sched::Request& r = requests[request_id];
   sched::BlockManager& bm = state_.bm;
-  r.blocks.reserve(
-      static_cast<std::size_t>(bm.blocks_for_tokens(r.max_kv_tokens())));
-  const index_t need = bm.blocks_for_tokens(r.prefill_target());
-  index_t cached_tokens = 0;
-  const sched::PrefixCacheConfig& pc = bm.config().prefix_cache;
-  if (pc.enabled &&
-      r.hashable_prefix_blocks(bm.block_size()) >= pc.min_prefix_blocks) {
-    r.append_prefix_chain(bm.block_size(), need, probe_chain_);
-    const index_t hits =
-        bm.acquire_prefill(r.blocks, need, probe_chain_, r.tenant_id);
-    // Blocks already published here don't cross the wire; count the
-    // skipped tokens like a prefill-side cache hit.
-    cached_tokens = hits * bm.block_size();
-    state_.counters.prefix_tokens_skipped += cached_tokens;
-    if (hits > 0 && state_.obs != nullptr) {
-      state_.obs->on_prefix_cache_hit(state_.now, r.id, id_, hits,
-                                      cached_tokens);
-    }
-  } else {
-    bm.acquire(r.blocks, need, r.tenant_id);
-  }
+  // Blocks already published here don't cross the wire; they count as
+  // skipped tokens like a prefill-side cache hit.
+  const index_t cached_tokens = state_.acquire_prompt_blocks(r);
   bm.publish(r.blocks);
   if (r.num_sequences > 1) {
     const index_t per_seq = bm.blocks_for_tokens(r.max_kv_tokens());

@@ -2,7 +2,7 @@
 
 namespace marlin::serve {
 
-GenerationResult generation_time(const Engine& engine, index_t batch,
+GenerationResult generation_time(const StepModel& engine, index_t batch,
                                  index_t input_tokens,
                                  index_t output_tokens) {
   GenerationResult r;

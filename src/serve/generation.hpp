@@ -13,7 +13,7 @@ struct GenerationResult {
   double output_tokens_per_s = 0;
 };
 
-GenerationResult generation_time(const Engine& engine, index_t batch,
+GenerationResult generation_time(const StepModel& engine, index_t batch,
                                  index_t input_tokens, index_t output_tokens);
 
 }  // namespace marlin::serve

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/error.hpp"
+#include "util/memo.hpp"
 
 namespace marlin::serve::parallel {
 
@@ -30,11 +31,6 @@ MicrobatchPlan plan_microbatches(const ParallelConfig& cfg, index_t batch) {
 ParallelEngine::ParallelEngine(const Engine& engine, ParallelConfig cfg)
     : engine_(engine), cfg_(cfg), link_(Interconnect::of(engine.config().gpu)) {
   cfg_.validate();
-  MARLIN_CHECK(cfg_.trivial() || engine_.config().num_gpus == 1,
-               "ParallelConfig owns all sharding: configure the Engine with "
-               "num_gpus == 1 (got "
-                   << engine_.config().num_gpus << ") instead of combining it "
-                   << "with " << cfg_.to_string());
   workers_.reserve(static_cast<std::size_t>(cfg_.world_size()));
   for (int stage = 0; stage < cfg_.pipeline_parallel; ++stage) {
     for (int tp = 0; tp < cfg_.tensor_parallel; ++tp) {
@@ -72,11 +68,7 @@ StepBreakdown ParallelEngine::decode_breakdown_at(
   }
 
   const int pp = cfg_.pipeline_parallel;
-  const double activation_bytes =
-      static_cast<double>(mb.seqs) *
-      static_cast<double>(engine_.config().model.hidden) * 2.0;
-  b.pp_send_s = static_cast<double>(pp - 1) *
-                link_.transfer_seconds(activation_bytes);
+  b.pp_send_s = pp_send_seconds(mb.seqs);
 
   const double slots = static_cast<double>(mb.count + pp - 1);
   b.bubble_fraction = static_cast<double>(pp - 1) / slots;
@@ -118,19 +110,11 @@ double ParallelEngine::decode_step_seconds(index_t batch,
   MARLIN_CHECK(batch >= 1, "batch must be >= 1");
   if (cfg_.trivial()) return engine_.decode_step_seconds(batch, avg_context);
   const auto bucket = static_cast<index_t>(avg_context / 64.0);
-  const auto key = std::make_pair(batch, bucket);
-  {
-    const std::lock_guard lock(cache_mutex_);
-    if (const auto it = decode_cache_.find(key); it != decode_cache_.end()) {
-      return it->second;
-    }
-  }
-  const double t =
-      decode_breakdown_at(batch, static_cast<double>(bucket) * 64.0 + 32.0)
-          .total_s;
-  const std::lock_guard lock(cache_mutex_);
-  decode_cache_[key] = t;
-  return t;
+  return memoised(cache_mutex_, decode_cache_, {batch, bucket}, [&] {
+    return decode_breakdown_at(batch,
+                               static_cast<double>(bucket) * 64.0 + 32.0)
+        .total_s;
+  });
 }
 
 double ParallelEngine::verify_step_seconds(index_t batch, double avg_context,
@@ -143,38 +127,24 @@ double ParallelEngine::verify_step_seconds(index_t batch, double avg_context,
   if (depth == 0) return decode_step_seconds(batch, avg_context);
   const auto bucket = static_cast<index_t>(avg_context / 64.0);
   const auto key = std::make_tuple(batch, bucket, depth);
-  {
-    const std::lock_guard lock(cache_mutex_);
-    if (const auto it = verify_cache_.find(key); it != verify_cache_.end()) {
-      return it->second;
+  return memoised(cache_mutex_, verify_cache_, key, [&] {
+    const double ctx = static_cast<double>(bucket) * 64.0 + 32.0;
+    const auto mb = plan_microbatches(cfg_, batch);
+    const index_t mb_tokens = mb.seqs * (depth + 1);
+    // Same composition as a decode step, with each stage verifying the
+    // widened candidate batch: compute and TP all-reduces price
+    // (depth + 1)x the tokens, activations on the stage boundaries carry
+    // every candidate.
+    double stage_max = 0.0;
+    for (const Worker& w : workers_) {
+      const double t = w.verify_compute_seconds(mb.seqs, ctx, depth) +
+                       w.tp_comm_seconds(mb_tokens);
+      stage_max = std::max(stage_max, t);
     }
-  }
-  const double ctx = static_cast<double>(bucket) * 64.0 + 32.0;
-  const auto mb = plan_microbatches(cfg_, batch);
-  const index_t mb_tokens = mb.seqs * (depth + 1);
-
-  // Same composition as a decode step, with each stage verifying the
-  // widened candidate batch: compute and TP all-reduces price
-  // (depth + 1)x the tokens, activations on the stage boundaries carry
-  // every candidate.
-  double stage_max = 0.0;
-  for (const Worker& w : workers_) {
-    const double t = w.verify_compute_seconds(mb.seqs, ctx, depth) +
-                     w.tp_comm_seconds(mb_tokens);
-    stage_max = std::max(stage_max, t);
-  }
-  const int pp = cfg_.pipeline_parallel;
-  const double activation_bytes =
-      static_cast<double>(mb_tokens) *
-      static_cast<double>(engine_.config().model.hidden) * 2.0;
-  const double send = pp > 1 ? static_cast<double>(pp - 1) *
-                                   link_.transfer_seconds(activation_bytes)
-                             : 0.0;
-  const double t = static_cast<double>(mb.count + pp - 1) * stage_max + send +
-                   engine_.config().step_overhead_s;
-  const std::lock_guard lock(cache_mutex_);
-  verify_cache_[key] = t;
-  return t;
+    return static_cast<double>(mb.count + cfg_.pipeline_parallel - 1) *
+               stage_max +
+           pp_send_seconds(mb_tokens) + engine_.config().step_overhead_s;
+  });
 }
 
 double ParallelEngine::prefill_seconds(index_t batch,
@@ -190,15 +160,17 @@ double ParallelEngine::prefill_seconds(index_t batch,
                      w.tp_comm_seconds(mb_tokens);
     stage_max = std::max(stage_max, t);
   }
-  const int pp = cfg_.pipeline_parallel;
+  return static_cast<double>(mb.count + cfg_.pipeline_parallel - 1) *
+             stage_max +
+         pp_send_seconds(mb_tokens) + engine_.config().prefill_overhead_s;
+}
+
+double ParallelEngine::pp_send_seconds(index_t tokens) const {
   const double activation_bytes =
-      static_cast<double>(mb_tokens) *
+      static_cast<double>(tokens) *
       static_cast<double>(engine_.config().model.hidden) * 2.0;
-  const double send = pp > 1 ? static_cast<double>(pp - 1) *
-                                   link_.transfer_seconds(activation_bytes)
-                             : 0.0;
-  return static_cast<double>(mb.count + pp - 1) * stage_max + send +
-         engine_.config().prefill_overhead_s;
+  return static_cast<double>(cfg_.pipeline_parallel - 1) *
+         link_.transfer_seconds(activation_bytes);
 }
 
 void ParallelEngine::warm_decode_cache(const SimContext& ctx,

@@ -24,11 +24,9 @@
 // serialized pricing bit-for-bit.
 //
 // The trivial config (TP=1, PP=1) delegates every query to the wrapped
-// Engine, so it reproduces the legacy single-device numbers — and the
-// fig15/fig16/serve_scheduler goldens — bit-for-bit. Non-trivial configs
-// require the Engine to be configured with num_gpus == 1: the
-// ParallelConfig owns all sharding (the legacy `num_gpus` weight split
-// must not compound with it).
+// Engine, so it reproduces the single-device numbers — and the
+// fig15/fig16/serve_scheduler goldens — bit-for-bit. This is the one
+// multi-GPU model: the Engine itself always prices a single device.
 //
 // Deterministic and memoised like the Engine; safe to share across
 // concurrent sweep workers. `warm_decode_cache` fans the per-rank step
@@ -108,6 +106,9 @@ class ParallelEngine final : public StepModel {
  private:
   [[nodiscard]] StepBreakdown decode_breakdown_at(index_t batch,
                                                   double bucket_context) const;
+  /// Activation send/recv the last microbatch of `tokens` tokens pays
+  /// across every stage boundary (0 without pipeline parallelism).
+  [[nodiscard]] double pp_send_seconds(index_t tokens) const;
 
   const Engine& engine_;
   ParallelConfig cfg_;

@@ -17,7 +17,14 @@ Worker::Worker(const Engine& engine, const ParallelConfig& cfg, RankId rank)
   MARLIN_CHECK(rank_.stage >= 0 && rank_.stage < cfg_.pipeline_parallel,
                "stage " << rank_.stage << " outside pipeline of "
                         << cfg_.pipeline_parallel);
-  const index_t layers = engine.config().model.num_layers;
+  const ModelConfig& model = engine.config().model;
+  MARLIN_CHECK(model.num_heads % cfg_.tensor_parallel == 0 &&
+                   model.num_kv_heads % cfg_.tensor_parallel == 0,
+               model.name << " has " << model.num_heads << " heads and "
+                          << model.num_kv_heads
+                          << " KV heads; tensor-parallel degree "
+                          << cfg_.tensor_parallel << " does not divide both");
+  const index_t layers = model.num_layers;
   MARLIN_CHECK(cfg_.pipeline_parallel <= layers,
                "pipeline-parallel degree " << cfg_.pipeline_parallel
                                            << " exceeds the model's " << layers
@@ -75,15 +82,8 @@ sched::BlockManager Worker::make_block_manager(
 
 double Worker::decode_compute_seconds(index_t mb_tokens,
                                       double avg_context) const {
-  const double layers = static_cast<double>(num_layers_);
-  double t = layers * engine_->block_linear_seconds(mb_tokens,
-                                                    cfg_.tensor_parallel) +
-             layers * engine_->attention_layer_seconds(mb_tokens, avg_context,
-                                                       cfg_.tensor_parallel);
-  if (has_lm_head()) {
-    t += engine_->lm_head_seconds(mb_tokens, cfg_.tensor_parallel);
-  }
-  return t;
+  // A decode step is a verification with no draft tokens.
+  return verify_compute_seconds(mb_tokens, avg_context, 0);
 }
 
 double Worker::prefill_compute_seconds(index_t mb_tokens,

@@ -72,6 +72,27 @@ SchedCounters ReplicaState::totals() const {
   return c;
 }
 
+index_t ReplicaState::acquire_prompt_blocks(Request& r) {
+  r.blocks.reserve(
+      static_cast<std::size_t>(bm.blocks_for_tokens(r.max_kv_tokens())));
+  const index_t need = bm.blocks_for_tokens(r.prefill_target());
+  const PrefixCacheConfig& pc = bm.config().prefix_cache;
+  if (!pc.enabled ||
+      r.hashable_prefix_blocks(bm.block_size()) < pc.min_prefix_blocks) {
+    bm.acquire(r.blocks, need, r.tenant_id);
+    return 0;
+  }
+  r.append_prefix_chain(bm.block_size(), need, scratch.chain);
+  const index_t hits =
+      bm.acquire_prefill(r.blocks, need, scratch.chain, r.tenant_id);
+  const index_t cached_tokens = hits * bm.block_size();
+  counters.prefix_tokens_skipped += cached_tokens;
+  if (hits > 0 && obs != nullptr) {
+    obs->on_prefix_cache_hit(now, r.id, replica_id, hits, cached_tokens);
+  }
+  return cached_tokens;
+}
+
 namespace {
 
 // One request's latency metrics — the single definition the metrics
@@ -427,31 +448,10 @@ void Ticker::admit() {
       if (cfg_.policy == SchedPolicy::kMaxUtilization || wfq_) continue;
       break;
     }
-    // Reserve the lifetime footprint up front so decode-time `grow_to`
-    // never reallocates the block-id vector.
-    r.blocks.reserve(
-        static_cast<std::size_t>(s_.bm.blocks_for_tokens(r.max_kv_tokens())));
-    const index_t need = s_.bm.blocks_for_tokens(r.prefill_target());
-    index_t cached_tokens = 0;
-    const PrefixCacheConfig& pc = s_.bm.config().prefix_cache;
-    if (pc.enabled &&
-        r.hashable_prefix_blocks(s_.bm.block_size()) >= pc.min_prefix_blocks) {
-      r.append_prefix_chain(s_.bm.block_size(), need, scr.chain);
-      const index_t hits =
-          s_.bm.acquire_prefill(r.blocks, need, scr.chain, r.tenant_id);
-      // Chunked prefill starts past the cached run — those tokens' KV
-      // already exists, so their prefill compute is skipped outright.
-      cached_tokens = hits * s_.bm.block_size();
-      s_.counters.prefix_tokens_skipped += cached_tokens;
-      if (hits > 0 && s_.obs != nullptr) {
-        s_.obs->on_prefix_cache_hit(s_.now, r.id, s_.replica_id, hits,
-                                    cached_tokens);
-      }
-    } else {
-      s_.bm.acquire(r.blocks, need, r.tenant_id);
-    }
+    // Chunked prefill starts past any cached run — those tokens' KV
+    // already exists, so their prefill compute is skipped outright.
+    r.prefilled = s_.acquire_prompt_blocks(r);
     r.set_state(RequestState::kPrefilling);
-    r.prefilled = cached_tokens;
     s_.prefilling.push_back(id);
     scr.taken[id] = 1;
     if (s_.obs != nullptr) {

@@ -226,6 +226,12 @@ struct ReplicaState {
   /// manager's prefix-cache, copy-on-write and peak-occupancy counters.
   [[nodiscard]] SchedCounters totals() const;
 
+  /// Acquires `r`'s prompt blocks (admission and incoming migration
+  /// alike), reserving its lifetime footprint so decode-time `grow_to`
+  /// never reallocates. Goes through the prefix cache when eligible,
+  /// counting and reporting hits; returns the tokens the cache held.
+  index_t acquire_prompt_blocks(Request& r);
+
   /// Requests in flight or waiting — a busy replica must be ticked.
   [[nodiscard]] bool busy() const {
     return !queue.empty() || !prefilling.empty() || !running.empty();

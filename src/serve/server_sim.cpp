@@ -78,7 +78,6 @@ cluster::ClusterStats simulate(const Engine& engine, const ServingConfig& cfg,
     EngineConfig dcfg = engine.config();
     dcfg.model =
         cfg.draft_model.name.empty() ? tinyllama_1_1b() : cfg.draft_model;
-    dcfg.num_gpus = 1;
     draft.emplace(dcfg);
   }
 

@@ -53,11 +53,11 @@ struct ServingConfig {
   /// Parallel-sampling width stamped on every request (n>1 decodes n
   /// continuations of one prompt, sharing the prompt KV copy-on-write).
   index_t sampling_n = 1;
-  /// Multi-GPU sharding. The default (TP=1, PP=1) runs the engine
-  /// directly and reproduces the single-device goldens byte-for-byte;
-  /// anything else prices steps through `parallel::ParallelEngine` (max
-  /// over ranks plus interconnect communication) and requires the engine
-  /// to be configured with num_gpus == 1.
+  /// Multi-GPU sharding, the one way to spread a replica over several
+  /// GPUs. The default (TP=1, PP=1) runs the engine directly and
+  /// reproduces the single-device goldens byte-for-byte; anything else
+  /// prices steps through `parallel::ParallelEngine` (max over ranks plus
+  /// interconnect communication) over the single-device engine.
   parallel::ParallelConfig parallel{};
 
   /// Multi-tenant serving: tenant specs (WFQ weights, priority tiers,

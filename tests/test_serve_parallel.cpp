@@ -141,6 +141,30 @@ TEST(Worker, OversizedShardClampsToZeroWithClearErrorNotUnderflow) {
   EXPECT_THROW((void)sched::derive_kv_block_budget(engine, 16), Error);
 }
 
+TEST(Worker, RejectsTensorParallelDegreesThatDoNotDivideTheHeads) {
+  // Llama-2-7B: 32 heads, 32 KV heads; TP 3 divides neither.
+  const Engine small(a100_cfg(llama2_7b()));
+  try {
+    (void)Worker(small, {3, 1, 0}, {0, 0});
+    FAIL() << "TP 3 on 32 heads must throw";
+  } catch (const Error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("Llama-2-7B has 32 heads and 32 KV heads"),
+              std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("tensor-parallel degree 3"), std::string::npos) << msg;
+  }
+  // Llama-2-70B: 64 heads divide by 16, its 8 KV heads do not.
+  const Engine big(a100_cfg());
+  EXPECT_THROW((void)Worker(big, {16, 1, 0}, {0, 0}), Error);
+  // ParallelEngine builds its ranks through the same constructor.
+  EXPECT_THROW(ParallelEngine(small, ParallelConfig{3, 1, 0}), Error);
+  EXPECT_THROW(ParallelEngine(big, ParallelConfig{16, 1, 0}), Error);
+  // Every degree the benches and examples use divides both counts.
+  EXPECT_NO_THROW(ParallelEngine(small, ParallelConfig{4, 1, 0}));
+  EXPECT_NO_THROW(ParallelEngine(big, ParallelConfig{8, 1, 0}));
+}
+
 // -------------------------------------------------------- interconnect
 
 TEST(Interconnect, RingAllReduceAndTransferPricing) {
@@ -181,17 +205,6 @@ TEST(ParallelEngine, TrivialConfigEqualsLegacyEngineBitForBit) {
   // must not mask a bad microbatch count).
   sc.parallel = {1, 1, -5};
   EXPECT_THROW((void)simulate(engine, sc), Error);
-}
-
-TEST(ParallelEngine, RejectsCompoundingWithLegacyNumGpusSplit) {
-  auto cfg = a100_cfg();
-  cfg.num_gpus = 2;
-  const Engine engine(cfg);
-  EXPECT_THROW(ParallelEngine(engine, ParallelConfig{2, 1, 0}), Error);
-  // Trivial configs stay compatible with the legacy split.
-  const ParallelEngine pe(engine, {1, 1, 0});
-  EXPECT_EQ(pe.decode_step_seconds(8, 100.0),
-            engine.decode_step_seconds(8, 100.0));
 }
 
 TEST(ParallelEngine, TensorParallelSpeedsUpButPaysAllReduce) {
