@@ -14,12 +14,10 @@
 #include "quant/pack.hpp"
 #include "util/rng.hpp"
 
-int main(int argc, char** argv) {
+static int run(marlin::CliArgs& args) {
   using namespace marlin;
-  const CliArgs args(argc, argv);
-  bench::maybe_print_help(args, "bench_ablate_dequant",
-                          "ablation: lop3 dequant trick vs naive casts (host throughput)");
-  const SimContext ctx = bench::make_context(args);
+  const SimContext ctx = make_sim_context(args);
+  args.finish("ablation: lop3 dequant trick vs naive casts (host throughput)");
   std::cout << "=== Ablation: dequantisation method (host throughput) ===\n\n";
 
   Rng rng(1);
@@ -77,3 +75,5 @@ int main(int argc, char** argv) {
          "tests/test_pack_dequant.cpp.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return marlin::cli_main(argc, argv, run); }

@@ -9,12 +9,10 @@
 #include "core/timing.hpp"
 #include "gpusim/memory.hpp"
 
-int main(int argc, char** argv) {
+static int run(marlin::CliArgs& args) {
   using namespace marlin;
-  const CliArgs args(argc, argv);
-  bench::maybe_print_help(args, "bench_ablate_l2",
-                          "ablation: hiding A-block reloads behind L2 (paper Eq. 1)");
-  const SimContext ctx = bench::make_context(args);
+  const SimContext ctx = make_sim_context(args);
+  args.finish("ablation: hiding A-block reloads behind L2 (paper Eq. 1)");
   std::cout << "=== Ablation: L2 bound (Eq. 1) on A10, 72k x 18k ===\n\n";
   const auto d = gpusim::a10();
   const gpusim::ClockModel clock{gpusim::ClockMode::kBoost};
@@ -91,3 +89,5 @@ int main(int argc, char** argv) {
                "cache-pollution argument, measured.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return marlin::cli_main(argc, argv, run); }

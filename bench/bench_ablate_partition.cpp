@@ -12,13 +12,11 @@
 #include "core/timing.hpp"
 #include "serve/model_config.hpp"
 
-int main(int argc, char** argv) {
+static int run(marlin::CliArgs& args) {
   using namespace marlin;
   using core::striped_partition_stats;
-  const CliArgs args(argc, argv);
-  bench::maybe_print_help(args, "bench_ablate_partition",
-                          "ablation: striped partitioning vs column-wise (paper Fig. 5)");
-  const SimContext ctx = bench::make_context(args);
+  const SimContext ctx = make_sim_context(args);
+  args.finish("ablation: striped partitioning vs column-wise (paper Fig. 5)");
   std::cout << "=== Ablation: partitioning scheme (batch 16, N_sm=256) ===\n\n";
 
   struct Point {
@@ -98,3 +96,5 @@ int main(int argc, char** argv) {
                "on LLM shapes; k-split balances but multiplies reductions.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return marlin::cli_main(argc, argv, run); }

@@ -7,12 +7,10 @@
 #include "core/timing.hpp"
 #include "gpusim/pipeline.hpp"
 
-int main(int argc, char** argv) {
+static int run(marlin::CliArgs& args) {
   using namespace marlin;
-  const CliArgs args(argc, argv);
-  bench::maybe_print_help(args, "bench_ablate_pipeline",
-                          "ablation: cp.async pipeline depth (the paper picks P=4)");
-  const SimContext ctx = bench::make_context(args);
+  const SimContext ctx = make_sim_context(args);
+  args.finish("ablation: cp.async pipeline depth (the paper picks P=4)");
   std::cout << "=== Ablation: pipeline depth (A10, 72k x 18k) ===\n\n";
   const auto d = gpusim::a10();
   const gpusim::ClockModel clock{gpusim::ClockMode::kBoost};
@@ -44,3 +42,5 @@ int main(int argc, char** argv) {
          "is within noise of P=8.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return marlin::cli_main(argc, argv, run); }

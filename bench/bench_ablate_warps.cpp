@@ -17,12 +17,10 @@
 #include "core/timing.hpp"
 #include "gpusim/warp_exec.hpp"
 
-int main(int argc, char** argv) {
+static int run(marlin::CliArgs& args) {
   using namespace marlin;
-  const CliArgs args(argc, argv);
-  bench::maybe_print_help(args, "bench_ablate_warps",
-                          "ablation: warp layouts (paper Fig. 4 / Sec. 3.4)");
-  const SimContext ctx = bench::make_context(args);
+  const SimContext ctx = make_sim_context(args);
+  args.finish("ablation: warp layouts (paper Fig. 4 / Sec. 3.4)");
   std::cout << "=== Ablation: warp layout (A10, N_sm=256, batch 16) ===\n\n";
   const auto d = gpusim::a10();
   const gpusim::ClockModel clock{gpusim::ClockMode::kBoost};
@@ -83,3 +81,5 @@ int main(int argc, char** argv) {
                "paper's argument for Figure 4.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return marlin::cli_main(argc, argv, run); }

@@ -12,12 +12,10 @@
 #include "quant/gptq.hpp"
 #include "quant/uniform.hpp"
 
-int main(int argc, char** argv) {
+static int run(marlin::CliArgs& args) {
   using namespace marlin;
-  const CliArgs args(argc, argv);
-  bench::maybe_print_help(args, "bench_ext_awq",
-                          "extension: AWQ-format MARLIN (paper Sec. 6)");
-  const SimContext ctx = bench::make_context(args);
+  const SimContext ctx = make_sim_context(args);
+  args.finish("extension: AWQ-format MARLIN (paper Sec. 6)");
   std::cout << "=== Extension: AWQ-format MARLIN (paper Section 6) ===\n\n";
 
   // Increasingly outlier-heavy activations: AWQ's advantage grows. Each
@@ -70,3 +68,5 @@ int main(int argc, char** argv) {
                "the GPTQ format.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return marlin::cli_main(argc, argv, run); }

@@ -11,12 +11,10 @@
 #include "eval/synthetic.hpp"
 #include "quant/gptq.hpp"
 
-int main(int argc, char** argv) {
+static int run(marlin::CliArgs& args) {
   using namespace marlin;
-  const CliArgs args(argc, argv);
-  bench::maybe_print_help(args, "bench_ext_bitwidths",
-                          "extension: extreme weight bit-widths (paper Sec. 7)");
-  const SimContext ctx = bench::make_context(args);
+  const SimContext ctx = make_sim_context(args);
+  args.finish("extension: extreme weight bit-widths (paper Sec. 7)");
   std::cout << "=== Extension: weight bit-width sweep (A10, 72k x 18k, "
                "batch 16) ===\n\n";
   const auto d = gpusim::a10();
@@ -60,3 +58,5 @@ int main(int argc, char** argv) {
                "codebooks the paper names as future work.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return marlin::cli_main(argc, argv, run); }

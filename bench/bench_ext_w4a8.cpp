@@ -6,12 +6,10 @@
 
 #include "common.hpp"
 
-int main(int argc, char** argv) {
+static int run(marlin::CliArgs& args) {
   using namespace marlin;
-  const CliArgs args(argc, argv);
-  bench::maybe_print_help(args, "bench_ext_w4a8",
-                          "extension: W4A8 INT8 activations (paper Sec. 6)");
-  const SimContext ctx = bench::make_context(args);
+  const SimContext ctx = make_sim_context(args);
+  args.finish("extension: W4A8 INT8 activations (paper Sec. 6)");
   std::cout << "=== Extension: W4A8 (INT8 activations) on A100, "
                "8192 x 8192 ===\n\n";
   const auto d = gpusim::a100_80g();
@@ -43,3 +41,5 @@ int main(int argc, char** argv) {
                "MARLIN this way.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return marlin::cli_main(argc, argv, run); }

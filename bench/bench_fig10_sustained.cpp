@@ -9,12 +9,10 @@
 
 #include "common.hpp"
 
-int main(int argc, char** argv) {
+static int run(marlin::CliArgs& args) {
   using namespace marlin;
-  const CliArgs args(argc, argv);
-  bench::maybe_print_help(args, "bench_fig10_sustained",
-                          "Figure 10 - sustained performance at locked base clocks");
-  const SimContext ctx = bench::make_context(args);
+  const SimContext ctx = make_sim_context(args);
+  args.finish("Figure 10 - sustained performance at locked base clocks");
   std::cout << "=== Figure 10: sustained per-layer speedup on A10 "
                "(locked base clock) ===\n"
             << "16bit x 4bit (group=128), K=18432, N=73728\n\n";
@@ -30,3 +28,5 @@ int main(int argc, char** argv) {
                "Figure 1.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return marlin::cli_main(argc, argv, run); }

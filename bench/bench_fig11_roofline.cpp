@@ -12,12 +12,10 @@
 #include "core/timing.hpp"
 #include "gpusim/roofline.hpp"
 
-int main(int argc, char** argv) {
+static int run(marlin::CliArgs& args) {
   using namespace marlin;
-  const CliArgs args(argc, argv);
-  bench::maybe_print_help(args, "bench_fig11_roofline",
-                          "Figure 11 - roofline analysis of the MARLIN kernel");
-  const SimContext ctx = bench::make_context(args);
+  const SimContext ctx = make_sim_context(args);
+  args.finish("Figure 11 - roofline analysis of the MARLIN kernel");
   const auto d = gpusim::a10();
   std::cout << "=== Figure 11: MARLIN roofline on A10 ===\n";
   std::cout << "Roofs: boost " << d.fp16_tc_tflops_boost << " TF (ridge "
@@ -65,3 +63,5 @@ int main(int argc, char** argv) {
                "roof.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return marlin::cli_main(argc, argv, run); }

@@ -9,12 +9,10 @@
 
 #include "common.hpp"
 
-int main(int argc, char** argv) {
+static int run(marlin::CliArgs& args) {
   using namespace marlin;
-  const CliArgs args(argc, argv);
-  bench::maybe_print_help(args, "bench_fig12_sparse_peak",
-                          "Figure 12 - Sparse-MARLIN (INT4 + 2:4) peak performance");
-  const SimContext ctx = bench::make_context(args);
+  const SimContext ctx = make_sim_context(args);
+  args.finish("Figure 12 - Sparse-MARLIN (INT4 + 2:4) peak performance");
   std::cout << "=== Figure 12: Sparse-MARLIN peak speedup on A10 (boost) ===\n"
             << "16bit x 4bit + 2:4 (group=128), K=18432, N=73728\n\n";
   const bench::SweepTimer timer(ctx, "fig12 analytic sweep");
@@ -29,3 +27,5 @@ int main(int argc, char** argv) {
                "dense at batch 64-128.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return marlin::cli_main(argc, argv, run); }

@@ -4,12 +4,10 @@
 
 #include "common.hpp"
 
-int main(int argc, char** argv) {
+static int run(marlin::CliArgs& args) {
   using namespace marlin;
-  const CliArgs args(argc, argv);
-  bench::maybe_print_help(args, "bench_fig13_sparse_sustained",
-                          "Figure 13 - Sparse-MARLIN sustained (base clock)");
-  const SimContext ctx = bench::make_context(args);
+  const SimContext ctx = make_sim_context(args);
+  args.finish("Figure 13 - Sparse-MARLIN sustained (base clock)");
   std::cout << "=== Figure 13: Sparse-MARLIN sustained speedup on A10 "
                "(locked base clock) ===\n"
             << "16bit x 4bit + 2:4 (group=128), K=18432, N=73728\n\n";
@@ -24,3 +22,5 @@ int main(int argc, char** argv) {
                "ideals at base clock; comparators degrade further.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return marlin::cli_main(argc, argv, run); }

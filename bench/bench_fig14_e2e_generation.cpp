@@ -10,13 +10,11 @@
 #include "common.hpp"
 #include "serve/generation.hpp"
 
-int main(int argc, char** argv) {
+static int run(marlin::CliArgs& args) {
   using namespace marlin;
   using serve::WeightFormat;
-  const CliArgs args(argc, argv);
-  bench::maybe_print_help(args, "bench_fig14_e2e_generation",
-                          "Figure 14 - end-to-end Llama-2-7B generation time");
-  const SimContext ctx = bench::make_context(args);
+  const SimContext ctx = make_sim_context(args);
+  args.finish("Figure 14 - end-to-end Llama-2-7B generation time");
   std::cout << "=== Figure 14: Llama-2-7B generation time on A10 "
                "(64 in / 64 out) ===\n\n";
 
@@ -75,3 +73,5 @@ int main(int argc, char** argv) {
                "Sparse-MARLIN ~1.2x over MARLIN.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return marlin::cli_main(argc, argv, run); }

@@ -10,22 +10,22 @@
 #include "common.hpp"
 #include "serve/server_sim.hpp"
 
-int main(int argc, char** argv) {
+static int run(marlin::CliArgs& args) {
   using namespace marlin;
   using serve::WeightFormat;
-  const CliArgs args(argc, argv);
-  auto help = bench::serving_flag_help();
-  help.push_back(bench::bench_json_flag_help());
-  bench::maybe_print_help(
-      args, "bench_fig16_ttft",
-      "Figure 16 - serving TTFT (time to first token), Llama-2-7B on "
-      "RTX A6000",
-      std::move(help));
-  const SimContext ctx = bench::make_context(args);
+  const SimContext ctx = make_sim_context(args);
   // --seed reproduces the identical Poisson trace; --policy swaps the
   // scheduler's admission order (defaults are the goldens configuration).
-  const bench::ServeCliOptions cli = bench::parse_serve_cli(args);
+  serve::ServingConfig base;
+  base.duration_s = 120.0;
+  base.seed = bench::read_seed(args);
+  base.policy = bench::read_policy(args);
+  base.prefix_cache = bench::read_prefix_cache(args);
+  const bench::Observation observation(args);
   bench::BenchJsonReporter json(args, ctx, "bench_fig16_ttft");
+  args.finish(
+      "Figure 16 - serving TTFT (time to first token), Llama-2-7B on RTX "
+      "A6000");
   std::cout << "=== Figure 16: Llama-2-7B TTFT on RTX A6000 "
                "(64 in / 64 out) ===\n\n";
 
@@ -54,12 +54,8 @@ int main(int argc, char** argv) {
   }
   json.set_points(points.size());
   const auto cells = bench::run_sweep(ctx, points, [&](const Point& pt) {
-    serve::ServingConfig sc;
+    serve::ServingConfig sc = base;
     sc.qps = pt.qps;
-    sc.duration_s = 120.0;
-    sc.seed = cli.seed;
-    cli.apply_prefix_cache(sc);
-    sc.policy = cli.policy;
     return serve::simulate(*engines[pt.engine], sc).sched.metrics.mean_ttft_ms;
   });
 
@@ -89,14 +85,10 @@ int main(int argc, char** argv) {
 
   // `--trace-out` / `--metrics-out`: record the MARLIN engine at the
   // highest-load point of the sweep in one serial re-run.
-  {
-    serve::ServingConfig sc;
-    sc.qps = qps_values.back();
-    sc.duration_s = 120.0;
-    sc.seed = cli.seed;
-    cli.apply_prefix_cache(sc);
-    sc.policy = cli.policy;
-    bench::maybe_write_observation(cli, *engines[1], sc);
-  }
+  serve::ServingConfig sc = base;
+  sc.qps = qps_values.back();
+  observation.maybe_write(*engines[1], sc);
   return 0;
 }
+
+int main(int argc, char** argv) { return marlin::cli_main(argc, argv, run); }

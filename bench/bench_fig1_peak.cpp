@@ -89,16 +89,12 @@ void functional_sweep(const SimContext& ctx) {
   std::cout << "\n";
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(marlin::CliArgs& args) {
   using namespace marlin;
-  const CliArgs args(argc, argv);
-  bench::maybe_print_help(args, "bench_fig1_peak",
-                          "Figure 1 - peak speedup over FP16 vs batch size (A10, boost clocks)",
-                          {bench::bench_json_flag_help()});
-  const SimContext ctx = bench::make_context(args);
+  const SimContext ctx = make_sim_context(args);
   bench::BenchJsonReporter json(args, ctx, "bench_fig1_peak");
+  args.finish(
+      "Figure 1 - peak speedup over FP16 vs batch size (A10, boost clocks)");
   json.set_points(bench::fig1_batches().size());
   std::cout << "=== Figure 1: peak per-layer speedup on A10 (boost clock) ===\n"
             << "16bit x 4bit (group=128), K=18432, N=73728\n\n";
@@ -119,3 +115,7 @@ int main(int argc, char** argv) {
                "~1.5x (bs=128); comparators <1x beyond bs~32.\n";
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return marlin::cli_main(argc, argv, run); }

@@ -18,12 +18,10 @@
 #include "quant/gptq.hpp"
 #include "quant/uniform.hpp"
 
-int main(int argc, char** argv) {
+static int run(marlin::CliArgs& args) {
   using namespace marlin;
-  const CliArgs args(argc, argv);
-  bench::maybe_print_help(args, "bench_fig6_pareto",
-                          "Figure 6 - Llama-2 accuracy/size Pareto curve in MARLIN format");
-  const SimContext ctx = bench::make_context(args);
+  const SimContext ctx = make_sim_context(args);
+  args.finish("Figure 6 - Llama-2 accuracy/size Pareto curve in MARLIN format");
   std::cout << "=== Figure 6: perplexity vs model size (MARLIN GPTQ) ===\n\n";
 
   // Measure reconstruction error per quantization setting on a synthetic
@@ -115,3 +113,5 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+int main(int argc, char** argv) { return marlin::cli_main(argc, argv, run); }

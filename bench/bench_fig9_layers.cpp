@@ -11,12 +11,10 @@
 #include "common.hpp"
 #include "serve/model_config.hpp"
 
-int main(int argc, char** argv) {
+static int run(marlin::CliArgs& args) {
   using namespace marlin;
-  const CliArgs args(argc, argv);
-  bench::maybe_print_help(args, "bench_fig9_layers",
-                          "Figure 9 - speedup at batch 16 on real Llama-2 layer shapes");
-  const SimContext ctx = bench::make_context(args);
+  const SimContext ctx = make_sim_context(args);
+  args.finish("Figure 9 - speedup at batch 16 on real Llama-2 layer shapes");
   std::cout << "=== Figure 9: per-layer speedup at batch 16, group=128 ===\n\n";
 
   const std::vector<serve::ModelConfig> models{
@@ -65,3 +63,5 @@ int main(int argc, char** argv) {
                "size on every GPU.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return marlin::cli_main(argc, argv, run); }

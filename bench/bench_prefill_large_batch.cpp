@@ -6,12 +6,10 @@
 
 #include "common.hpp"
 
-int main(int argc, char** argv) {
+static int run(marlin::CliArgs& args) {
   using namespace marlin;
-  const CliArgs args(argc, argv);
-  bench::maybe_print_help(args, "bench_prefill_large_batch",
-                          "paper Sec. 5.1 - prefill-sized batches on A100");
-  const SimContext ctx = bench::make_context(args);
+  const SimContext ctx = make_sim_context(args);
+  args.finish("paper Sec. 5.1 - prefill-sized batches on A100");
   std::cout << "=== Prefill regime: MARLIN vs FP16 on A100 "
                "(8192 x 8192, group=128) ===\n\n";
   const auto d = gpusim::a100_80g();
@@ -37,3 +35,5 @@ int main(int argc, char** argv) {
                "very large shapes.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return marlin::cli_main(argc, argv, run); }

@@ -21,31 +21,27 @@
 #include "common.hpp"
 #include "serve/server_sim.hpp"
 
-int main(int argc, char** argv) {
+static int run(marlin::CliArgs& args) {
   using namespace marlin;
   namespace sched = serve::sched;
   namespace cluster = serve::cluster;
-  const CliArgs args(argc, argv);
-  bench::maybe_print_help(
-      args, "bench_serve_cluster",
-      "cluster serving sweep: replicas x placement x SLO shed, plus the "
-      "trace-driven autoscaler (Llama-2-7B MARLIN on RTX A6000)",
-      {{"--seed S", "workload-trace seed (default 42; goldens use 42)"},
-       {"--qps Q", "mean arrival rate (default 24)"},
-       {"--duration S", "arrival window seconds (default 40)"},
-       {"--ttft-slo MS", "TTFT shed deadline for the SLO axis (default 250)"},
-       {"--tpot-slo MS", "TPOT deadline for the SLO axis (default 15)"},
-       {"--trace-out FILE",
-        "write a Chrome/Perfetto trace of one recorded serial re-run "
-        "(autoscaled bursty config with the SLO axis on)"},
-       {"--metrics-out FILE",
-        "write the Prometheus-style metrics exposition of the same run"},
-       bench::bench_json_flag_help()});
-  const SimContext ctx = bench::make_context(args);
-  const bench::ServeCliOptions cli = bench::parse_serve_cli(args, 24.0, 40.0);
-  const double ttft_slo = args.get_double("ttft-slo", 250.0);
-  const double tpot_slo = args.get_double("tpot-slo", 15.0);
+  const SimContext ctx = make_sim_context(args);
+  serve::ServingConfig base;
+  base.qps = args.get_double("qps", 24.0, "mean arrival rate");
+  base.duration_s =
+      args.get_double("duration", 40.0, "arrival window seconds");
+  base.seed = bench::read_seed(args);
+  base.policy = bench::read_policy(args);
+  base.prefix_cache = bench::read_prefix_cache(args);
+  const double ttft_slo = args.get_double(
+      "ttft-slo", 250.0, "TTFT shed deadline ms for the SLO axis");
+  const double tpot_slo = args.get_double(
+      "tpot-slo", 15.0, "TPOT deadline ms for the SLO axis");
+  const bench::Observation observation(args);
   bench::BenchJsonReporter json(args, ctx, "bench_serve_cluster");
+  args.finish(
+      "cluster serving sweep: replicas x placement x SLO shed, plus the "
+      "trace-driven autoscaler (Llama-2-7B MARLIN on RTX A6000)");
 
   serve::EngineConfig ecfg;
   ecfg.model = serve::llama2_7b();
@@ -56,13 +52,13 @@ int main(int argc, char** argv) {
   // Four equal tenants: the session-affinity hash needs distinct sessions
   // to spread, and every placement sees the identical arrival trace
   // (tenant assignment draws from a side RNG stream).
-  std::vector<sched::TenantSpec> tenants;
   for (index_t t = 0; t < 4; ++t) {
     sched::TenantSpec spec;
     spec.id = t;
     spec.name = "tenant" + std::to_string(t);
-    tenants.push_back(spec);
+    base.tenants.push_back(spec);
   }
+  base.kv_blocks = 192;  // per replica: tight enough to queue at 24 QPS
 
   const std::vector<index_t> replica_counts{1, 2, 4};
   const std::vector<cluster::Placement> placements{
@@ -72,25 +68,13 @@ int main(int argc, char** argv) {
 
   std::cout << "=== Cluster serving sweep: " << ecfg.model.name << " ("
             << serve::to_string(ecfg.format) << ") on " << ecfg.gpu.name
-            << ", " << cli.qps << " QPS, " << cli.duration_s
+            << ", " << base.qps << " QPS, " << base.duration_s
             << " s, 4 tenants ===\n"
             << "SLO axis: TTFT shed deadline " << ttft_slo
             << " ms, TPOT deadline " << tpot_slo
             << " ms; per-replica KV budget 192 blocks of 16 tokens\n\n";
 
   engine.warm_decode_cache(ctx, 128, 256.0);
-
-  const auto base_config = [&] {
-    serve::ServingConfig sc;
-    sc.qps = cli.qps;
-    sc.duration_s = cli.duration_s;
-    sc.seed = cli.seed;
-    cli.apply_prefix_cache(sc);
-    sc.policy = cli.policy;
-    sc.tenants = tenants;
-    sc.kv_blocks = 192;  // per replica: tight enough to queue at 24 QPS
-    return sc;
-  };
 
   struct Point {
     std::size_t replicas, placement, slo;
@@ -113,7 +97,7 @@ int main(int argc, char** argv) {
   json.set_points(points.size());
   const bench::SweepTimer timer(ctx, "cluster serving sweep");
   const auto cells = bench::run_sweep(ctx, points, [&](const Point& pt) {
-    serve::ServingConfig sc = base_config();
+    serve::ServingConfig sc = base;
     sc.cluster.placement = placements[pt.placement];
     if (pt.autoscaled) {
       sc.shape = sched::WorkloadShape::kBursty;
@@ -187,7 +171,7 @@ int main(int argc, char** argv) {
   // so the trace shows router placements, replica lifecycle, preemptions,
   // sheds and SLO violations all at once.
   {
-    serve::ServingConfig sc = base_config();
+    serve::ServingConfig sc = base;
     sc.cluster.placement = cluster::Placement::kLeastLoaded;
     sc.shape = sched::WorkloadShape::kBursty;
     sc.cluster.replicas = 1;
@@ -199,7 +183,9 @@ int main(int argc, char** argv) {
     sc.cluster.autoscaler.scale_down_queue_per_replica = 0.5;
     sc.slo.ttft_deadline_ms = ttft_slo;
     sc.slo.tpot_deadline_ms = tpot_slo;
-    bench::maybe_write_observation(cli, engine, sc);
+    observation.maybe_write(engine, sc);
   }
   return 0;
 }
+
+int main(int argc, char** argv) { return marlin::cli_main(argc, argv, run); }

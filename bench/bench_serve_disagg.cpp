@@ -24,33 +24,28 @@
 #include "serve/parallel/parallel_engine.hpp"
 #include "serve/server_sim.hpp"
 
-int main(int argc, char** argv) {
+static int run(marlin::CliArgs& args) {
   using namespace marlin;
   namespace sched = serve::sched;
-  const CliArgs args(argc, argv);
-  bench::maybe_print_help(
-      args, "bench_serve_disagg",
+  const SimContext ctx = make_sim_context(args);
+  serve::ServingConfig base;
+  base.qps = args.get_double("qps", 10.0, "mean arrival rate");
+  base.duration_s =
+      args.get_double("duration", 30.0, "arrival window seconds");
+  base.seed = bench::read_seed(args);
+  base.policy = bench::read_policy(args);
+  base.shape = bench::read_workload(args);
+  base.prefix_cache = bench::read_prefix_cache(args);
+  base.input_tokens =
+      args.get_int("input", 256, "prompt tokens (prefill-heavy)");
+  base.output_tokens = args.get_int("output", 64, "output tokens per request");
+  base.kv_blocks = 256;  // per replica
+  const bench::Observation observation(args);
+  bench::BenchJsonReporter json(args, ctx, "bench_serve_disagg");
+  args.finish(
       "disaggregated prefill/decode pools vs a unified fleet, priced KV "
       "transfer, and TP comm/compute overlap (Llama-2-7B MARLIN on RTX "
-      "A6000)",
-      {{"--seed S", "workload-trace seed (default 42; goldens use 42)"},
-       {"--qps Q", "mean arrival rate (default 10)"},
-       {"--duration S", "arrival window seconds (default 30)"},
-       {"--input N", "prompt tokens (default 256 — prefill-heavy)"},
-       {"--output N", "output tokens per request (default 64)"},
-       {"--trace-out FILE",
-        "write a Chrome/Perfetto trace of one recorded serial re-run "
-        "(disaggregated pools on the device link)"},
-       {"--metrics-out FILE",
-        "write the Prometheus-style metrics exposition of the same run"},
-       bench::bench_json_flag_help()});
-  const SimContext ctx = bench::make_context(args);
-  const bench::ServeCliOptions cli = bench::parse_serve_cli(args, 10.0, 30.0);
-  const auto input_tokens =
-      static_cast<index_t>(args.get_int("input", 256));
-  const auto output_tokens =
-      static_cast<index_t>(args.get_int("output", 64));
-  bench::BenchJsonReporter json(args, ctx, "bench_serve_disagg");
+      "A6000)");
 
   serve::EngineConfig ecfg;
   ecfg.model = serve::llama2_7b();
@@ -60,8 +55,9 @@ int main(int argc, char** argv) {
 
   std::cout << "=== Disaggregated serving: " << ecfg.model.name << " ("
             << serve::to_string(ecfg.format) << ") on " << ecfg.gpu.name
-            << ", " << cli.qps << " QPS, " << cli.duration_s << " s, "
-            << input_tokens << " in / " << output_tokens << " out ===\n"
+            << ", " << base.qps << " QPS, " << base.duration_s << " s, "
+            << base.input_tokens << " in / " << base.output_tokens
+            << " out ===\n"
             << "Two GPUs per config: unified fleet of 2 vs 1 prefill + 1 "
                "decode pool; per-replica KV budget 256 blocks of 16 "
                "tokens; KV handoff priced at "
@@ -69,20 +65,6 @@ int main(int argc, char** argv) {
             << " KiB/token on the device interconnect unless swept\n\n";
 
   engine.warm_decode_cache(ctx, 128, 256.0);
-
-  const auto base_config = [&] {
-    serve::ServingConfig sc;
-    sc.qps = cli.qps;
-    sc.duration_s = cli.duration_s;
-    sc.seed = cli.seed;
-    cli.apply_prefix_cache(sc);
-    sc.policy = cli.policy;
-    sc.shape = cli.workload;
-    sc.input_tokens = input_tokens;
-    sc.output_tokens = output_tokens;
-    sc.kv_blocks = 256;  // per replica
-    return sc;
-  };
 
   // Section 1: {unified x2, disagg 1p+1d} x {whole-prompt, chunked 32}.
   // Section 2: disagg on progressively slower links (0 = device link).
@@ -100,7 +82,7 @@ int main(int argc, char** argv) {
   json.set_points(points.size());
   const bench::SweepTimer timer(ctx, "disaggregated serving sweep");
   const auto cells = bench::run_sweep(ctx, points, [&](const Point& pt) {
-    serve::ServingConfig sc = base_config();
+    serve::ServingConfig sc = base;
     sc.prefill_chunk_tokens = pt.chunk;
     if (pt.disagg) {
       sc.cluster.disagg.enabled = true;
@@ -190,11 +172,13 @@ int main(int argc, char** argv) {
   // disaggregated config on the device link, so the trace shows the
   // kv-transfer spans between the prefill and decode rows.
   {
-    serve::ServingConfig sc = base_config();
+    serve::ServingConfig sc = base;
     sc.cluster.disagg.enabled = true;
     sc.cluster.disagg.prefill_replicas = 1;
     sc.cluster.disagg.decode_replicas = 1;
-    bench::maybe_write_observation(cli, engine, sc);
+    observation.maybe_write(engine, sc);
   }
   return 0;
 }
+
+int main(int argc, char** argv) { return marlin::cli_main(argc, argv, run); }

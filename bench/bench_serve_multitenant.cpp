@@ -28,33 +28,28 @@
 #include "common.hpp"
 #include "serve/server_sim.hpp"
 
-int main(int argc, char** argv) {
+static int run(marlin::CliArgs& args) {
   using namespace marlin;
   namespace sched = serve::sched;
-  const CliArgs args(argc, argv);
-  bench::maybe_print_help(
-      args, "bench_serve_multitenant",
-      "tenant mix x {fcfs,wfq} x speculation on/off serving sweep "
-      "(Llama-2-7B MARLIN on RTX A6000, tight KV budget)",
-      // No --policy here: the sweep runs fcfs AND wfq itself.
-      {{"--seed S", "workload-trace seed (default 42; goldens use 42)"},
-       {"--qps Q", "mean arrival rate (default 20)"},
-       {"--duration S", "arrival window seconds (default 40)"},
-       {"--kv-blocks N", "KV budget in blocks of 16 tokens (default 96)"},
-       {"--spec-depth D", "draft tokens per speculative round (default 4)"},
-       {"--spec-accept A", "per-token draft acceptance (default 0.8)"},
-       {"--trace-out FILE",
-        "write a Chrome/Perfetto trace of one recorded serial re-run "
-        "(tiered wfq cell with speculation)"},
-       {"--metrics-out FILE",
-        "write the Prometheus-style metrics exposition of the same run"},
-       bench::bench_json_flag_help()});
-  const SimContext ctx = bench::make_context(args);
-  const bench::ServeCliOptions cli = bench::parse_serve_cli(args, 20.0, 40.0);
+  const SimContext ctx = make_sim_context(args);
+  // No --policy here: the sweep runs fcfs AND wfq itself.
+  serve::ServingConfig base;
+  base.qps = args.get_double("qps", 20.0, "mean arrival rate");
+  base.duration_s =
+      args.get_double("duration", 40.0, "arrival window seconds");
+  base.seed = bench::read_seed(args);
+  base.prefix_cache = bench::read_prefix_cache(args);
+  base.kv_blocks =
+      args.get_int("kv-blocks", 96, "KV budget in blocks of 16 tokens");
+  const index_t spec_depth =
+      args.get_int("spec-depth", 4, "draft tokens per speculative round");
+  base.speculation.acceptance =
+      args.get_double("spec-accept", 0.8, "per-token draft acceptance");
+  const bench::Observation observation(args);
   bench::BenchJsonReporter json(args, ctx, "bench_serve_multitenant");
-  const index_t kv_blocks = args.get_int("kv-blocks", 96);
-  const index_t spec_depth = args.get_int("spec-depth", 4);
-  const double spec_accept = args.get_double("spec-accept", 0.8);
+  args.finish(
+      "tenant mix x {fcfs,wfq} x speculation on/off serving sweep "
+      "(Llama-2-7B MARLIN on RTX A6000, tight KV budget)");
 
   serve::EngineConfig ecfg;
   ecfg.model = serve::llama2_7b();
@@ -82,10 +77,11 @@ int main(int argc, char** argv) {
 
   std::cout << "=== Multi-tenant serving sweep: " << ecfg.model.name << " ("
             << serve::to_string(ecfg.format) << ") on " << ecfg.gpu.name
-            << ", " << cli.qps << " QPS, " << cli.duration_s << " s, " << kv_blocks
-            << " KV blocks ===\n"
+            << ", " << base.qps << " QPS, " << base.duration_s << " s, "
+            << base.kv_blocks << " KV blocks ===\n"
             << "Speculation: TinyLlama-1.1B draft, depth " << spec_depth
-            << ", acceptance " << format_double(spec_accept, 2) << "\n\n";
+            << ", acceptance " << format_double(base.speculation.acceptance, 2)
+            << "\n\n";
 
   engine.warm_decode_cache(ctx, 128, 256.0);
 
@@ -104,16 +100,10 @@ int main(int argc, char** argv) {
   json.set_points(points.size());
   const bench::SweepTimer timer(ctx, "multi-tenant serving sweep");
   const auto cells = bench::run_sweep(ctx, points, [&](const Point& pt) {
-    serve::ServingConfig sc;
-    sc.qps = cli.qps;
-    sc.duration_s = cli.duration_s;
-    sc.seed = cli.seed;
-    cli.apply_prefix_cache(sc);
+    serve::ServingConfig sc = base;
     sc.policy = policies[pt.policy];
-    sc.kv_blocks = kv_blocks;
     sc.tenants = mixes[pt.mix].tenants;
     sc.speculation.depth = spec_depths[pt.spec];
-    sc.speculation.acceptance = spec_accept;
     return serve::simulate(engine, sc).sched;
   });
 
@@ -187,18 +177,12 @@ int main(int argc, char** argv) {
   // `--trace-out` / `--metrics-out`: record the tiered-mix wfq cell with
   // speculation on (per-tenant service + spec-round events) in one serial
   // re-run.
-  {
-    serve::ServingConfig sc;
-    sc.qps = cli.qps;
-    sc.duration_s = cli.duration_s;
-    sc.seed = cli.seed;
-    cli.apply_prefix_cache(sc);
-    sc.policy = sched::SchedPolicy::kWeightedFair;
-    sc.kv_blocks = kv_blocks;
-    sc.tenants = mixes[0].tenants;
-    sc.speculation.depth = spec_depth;
-    sc.speculation.acceptance = spec_accept;
-    bench::maybe_write_observation(cli, engine, sc);
-  }
+  serve::ServingConfig sc = base;
+  sc.policy = sched::SchedPolicy::kWeightedFair;
+  sc.tenants = mixes[0].tenants;
+  sc.speculation.depth = spec_depth;
+  observation.maybe_write(engine, sc);
   return 0;
 }
+
+int main(int argc, char** argv) { return marlin::cli_main(argc, argv, run); }

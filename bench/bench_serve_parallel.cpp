@@ -13,9 +13,6 @@
 // All simulations are fixed-seed discrete-event runs fanned out on the
 // SimContext pool; tables are byte-identical at every `--threads` count
 // (ctest -L golden enforces it at 1 and 4).
-//
-// Flags: --threads, --seed, --qps, --duration, plus the shared serving
-// flags in common.hpp.
 
 #include <deque>
 #include <iostream>
@@ -24,27 +21,24 @@
 #include "serve/parallel/parallel_engine.hpp"
 #include "serve/server_sim.hpp"
 
-int main(int argc, char** argv) {
+static int run(marlin::CliArgs& args) {
   using namespace marlin;
   namespace sched = serve::sched;
   namespace par = serve::parallel;
-  const CliArgs args(argc, argv);
-  bench::maybe_print_help(
-      args, "bench_serve_parallel",
-      "multi-GPU parallel serving sweep: TPxPP rank grids x policy x "
-      "workload, Llama-2-70B on A100/NVLink (sweeps fcfs/sjf itself)",
-      {{"--seed S", "workload-trace seed (default 42; goldens use 42)"},
-       {"--qps Q", "mean arrival rate (default 10)"},
-       {"--duration S", "arrival window seconds (default 40)"},
-       {"--trace-out FILE",
-        "write a Chrome/Perfetto trace of one recorded serial re-run "
-        "(TP2xPP2 grid with decode_split counter tracks)"},
-       {"--metrics-out FILE",
-        "write the Prometheus-style metrics exposition of the same run"},
-       bench::bench_json_flag_help()});
-  const SimContext ctx = bench::make_context(args);
-  const bench::ServeCliOptions cli = bench::parse_serve_cli(args, 10.0, 40.0);
+  const SimContext ctx = make_sim_context(args);
+  serve::ServingConfig base;
+  base.qps = args.get_double("qps", 10.0, "mean arrival rate");
+  base.duration_s =
+      args.get_double("duration", 40.0, "arrival window seconds");
+  base.seed = bench::read_seed(args);
+  base.prefix_cache = bench::read_prefix_cache(args);
+  // The sweep runs fcfs and sjf itself; --policy picks the traced run's.
+  const sched::SchedPolicy traced_policy = bench::read_policy(args);
+  const bench::Observation observation(args);
   bench::BenchJsonReporter json(args, ctx, "bench_serve_parallel");
+  args.finish(
+      "multi-GPU parallel serving sweep: TPxPP rank grids x policy x "
+      "workload, Llama-2-70B on A100/NVLink (sweeps fcfs/sjf itself)");
 
   serve::EngineConfig ecfg;
   ecfg.model = serve::llama2_70b();
@@ -63,12 +57,17 @@ int main(int argc, char** argv) {
 
   std::cout << "=== Parallel serving sweep: " << ecfg.model.name << " ("
             << serve::to_string(ecfg.format) << ") on " << ecfg.gpu.name
-            << " over " << ecfg.gpu.interconnect_name << ", " << cli.qps
-            << " QPS, " << cli.duration_s << " s ===\n\n";
+            << " over " << ecfg.gpu.interconnect_name << ", " << base.qps
+            << " QPS, " << base.duration_s << " s ===\n\n";
 
   // Per-config world summary: rank grid, heaviest weight shard, binding
   // per-rank KV budget (blocks of 16 tokens; min over the rank grid).
   const index_t block_size = 16;
+  base.kv_blocks = -1;  // HBM-derived per-rank budget (min rank binds)
+  base.kv_block_size = block_size;
+  // A tight batch cap keeps the admission queue non-empty under the
+  // 10 QPS overload, so the policy axis actually reorders requests.
+  base.max_batch = 32;
   Table world({"config", "ranks", "weights/rank", "KV blocks/rank",
                "KV tokens"});
   // deque: ParallelEngine owns a mutex and is immovable.
@@ -117,18 +116,9 @@ int main(int argc, char** argv) {
   json.set_points(points.size());
   const bench::SweepTimer timer(ctx, "parallel serving sweep");
   const auto cells = bench::run_sweep(ctx, points, [&](const Point& pt) {
-    serve::ServingConfig sc;
-    sc.qps = cli.qps;
-    sc.duration_s = cli.duration_s;
-    sc.seed = cli.seed;
-    cli.apply_prefix_cache(sc);
+    serve::ServingConfig sc = base;
     sc.shape = shapes[pt.shape];
     sc.policy = policies[pt.policy];
-    sc.kv_blocks = -1;  // HBM-derived per-rank budget (min rank binds)
-    sc.kv_block_size = block_size;
-    // A tight batch cap keeps the admission queue non-empty under the
-    // 10 QPS overload, so the policy axis actually reorders requests.
-    sc.max_batch = 32;
     sc.parallel = grids[pt.grid];
     return serve::simulate(engine, sc).sched;
   });
@@ -163,18 +153,11 @@ int main(int argc, char** argv) {
   // `--trace-out` / `--metrics-out`: record the TP2xPP2 grid (non-trivial
   // sharding, so the trace carries decode_split compute/comm/bubble
   // counter tracks) in one serial re-run.
-  {
-    serve::ServingConfig sc;
-    sc.qps = cli.qps;
-    sc.duration_s = cli.duration_s;
-    sc.seed = cli.seed;
-    cli.apply_prefix_cache(sc);
-    sc.policy = cli.policy;
-    sc.kv_blocks = -1;
-    sc.kv_block_size = block_size;
-    sc.max_batch = 32;
-    sc.parallel = {2, 2, 0};
-    bench::maybe_write_observation(cli, engine, sc);
-  }
+  serve::ServingConfig sc = base;
+  sc.policy = traced_policy;
+  sc.parallel = {2, 2, 0};
+  observation.maybe_write(engine, sc);
   return 0;
 }
+
+int main(int argc, char** argv) { return marlin::cli_main(argc, argv, run); }

@@ -27,29 +27,22 @@
 #include "common.hpp"
 #include "serve/server_sim.hpp"
 
-int main(int argc, char** argv) {
+static int run(marlin::CliArgs& args) {
   using namespace marlin;
   namespace sched = serve::sched;
-  const CliArgs args(argc, argv);
-  bench::maybe_print_help(
-      args, "bench_serve_prefixcache",
-      "hashed prefix cache sweep: shared-prefix workloads x cache on/off x "
-      "fcfs/wfq (Llama-2-7B MARLIN on RTX A6000)",
-      {{"--seed S", "workload-trace seed (default 42; goldens use 42)"},
-       {"--qps Q", "mean arrival rate (default 16)"},
-       {"--duration S", "arrival window seconds (default 40)"},
-       {"--prefix-cache-blocks N",
-        "cap on evicted-but-cached blocks kept for reuse in the cache-on "
-        "rows (0 = no cap, the golden configuration)"},
-       {"--trace-out FILE",
-        "write a Chrome/Perfetto trace of one recorded serial re-run "
-        "(shared mix, cache on, wfq)"},
-       {"--metrics-out FILE",
-        "write the Prometheus-style metrics exposition of the same run"},
-       bench::bench_json_flag_help()});
-  const SimContext ctx = bench::make_context(args);
-  const bench::ServeCliOptions cli = bench::parse_serve_cli(args, 16.0, 40.0);
+  const SimContext ctx = make_sim_context(args);
+  // The sweep runs fcfs and wfq, cache off and on, itself.
+  serve::ServingConfig base;
+  base.qps = args.get_double("qps", 16.0, "mean arrival rate");
+  base.duration_s =
+      args.get_double("duration", 40.0, "arrival window seconds");
+  base.seed = bench::read_seed(args);
+  base.prefix_cache.max_cached_blocks = bench::read_prefix_cache_blocks(args);
+  const bench::Observation observation(args);
   bench::BenchJsonReporter json(args, ctx, "bench_serve_prefixcache");
+  args.finish(
+      "hashed prefix cache sweep: shared-prefix workloads x cache on/off x "
+      "fcfs/wfq (Llama-2-7B MARLIN on RTX A6000)");
 
   serve::EngineConfig ecfg;
   ecfg.model = serve::llama2_7b();
@@ -60,9 +53,11 @@ int main(int argc, char** argv) {
   // Weight-4 "prod" vs weight-1 "batch" tenant, equal traffic: wfq favors
   // prod, and shared cached blocks migrate between their accounts under
   // the last-toucher-pays rule.
-  const std::vector<sched::TenantSpec> tenants{
-      {0, "prod", 4.0, 0, sched::kNoQuota, 1.0},
-      {1, "batch", 1.0, 0, sched::kNoQuota, 1.0}};
+  base.tenants = {{0, "prod", 4.0, 0, sched::kNoQuota, 1.0},
+                  {1, "batch", 1.0, 0, sched::kNoQuota, 1.0}};
+  base.kv_blocks = 768;
+  base.shared_prefix_groups = 4;
+  base.shared_prefix_share = 0.8;
 
   struct Mix {
     const char* name;
@@ -77,7 +72,7 @@ int main(int argc, char** argv) {
 
   std::cout << "=== Prefix-cache sweep: " << ecfg.model.name << " ("
             << serve::to_string(ecfg.format) << ") on " << ecfg.gpu.name
-            << ", " << cli.qps << " QPS, " << cli.duration_s
+            << ", " << base.qps << " QPS, " << base.duration_s
             << " s, 2 tenants (w4/w1) ===\n"
             << "Shared mixes: 4 system prompts of 256 tokens on 80% of "
                "requests; KV budget 768 blocks of 16 tokens per replica\n\n";
@@ -100,19 +95,11 @@ int main(int argc, char** argv) {
   const auto cells = [&] {
     const bench::SweepTimer timer(ctx, "prefix-cache sweep");
     return bench::run_sweep(ctx, points, [&](const Point& pt) {
-      serve::ServingConfig sc;
-      sc.qps = cli.qps;
-      sc.duration_s = cli.duration_s;
-      sc.seed = cli.seed;
+      serve::ServingConfig sc = base;
       sc.policy = policies[pt.policy];
-      sc.tenants = tenants;
-      sc.kv_blocks = 768;
       sc.shared_prefix_tokens = mixes[pt.mix].prefix_tokens;
-      sc.shared_prefix_groups = 4;
-      sc.shared_prefix_share = 0.8;
       sc.sampling_n = mixes[pt.mix].sampling_n;
       sc.prefix_cache.enabled = cache_axis[pt.cache];
-      sc.prefix_cache.max_cached_blocks = cli.prefix_cache_blocks;
       return serve::simulate(engine, sc).sched;
     });
   }();
@@ -167,20 +154,12 @@ int main(int argc, char** argv) {
   // `--trace-out` / `--metrics-out`: one serial re-run of the richest
   // config — the shared mix with the cache on under wfq — so the trace
   // shows prefix-cache-hit instants alongside the request lifecycle.
-  {
-    serve::ServingConfig sc;
-    sc.qps = cli.qps;
-    sc.duration_s = cli.duration_s;
-    sc.seed = cli.seed;
-    sc.policy = sched::SchedPolicy::kWeightedFair;
-    sc.tenants = tenants;
-    sc.kv_blocks = 768;
-    sc.shared_prefix_tokens = 256;
-    sc.shared_prefix_groups = 4;
-    sc.shared_prefix_share = 0.8;
-    sc.prefix_cache.enabled = true;
-    sc.prefix_cache.max_cached_blocks = cli.prefix_cache_blocks;
-    bench::maybe_write_observation(cli, engine, sc);
-  }
+  serve::ServingConfig sc = base;
+  sc.policy = sched::SchedPolicy::kWeightedFair;
+  sc.shared_prefix_tokens = 256;
+  sc.prefix_cache.enabled = true;
+  observation.maybe_write(engine, sc);
   return 0;
 }
+
+int main(int argc, char** argv) { return marlin::cli_main(argc, argv, run); }

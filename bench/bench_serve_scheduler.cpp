@@ -8,38 +8,32 @@
 // queueing, and recompute preemption. All 27 simulations are fixed-seed
 // discrete-event runs fanned out on the SimContext pool; the tables are
 // byte-identical at every `--threads` count (ctest -L golden enforces it).
-//
-// Flags: --threads, --seed, --qps, --duration, --prefill-chunk (tokens,
-// 0 = unchunked), plus the shared serving flags in common.hpp.
 
 #include <iostream>
 
 #include "common.hpp"
 #include "serve/server_sim.hpp"
 
-int main(int argc, char** argv) {
+static int run(marlin::CliArgs& args) {
   using namespace marlin;
   namespace sched = serve::sched;
-  const CliArgs args(argc, argv);
-  bench::maybe_print_help(
-      args, "bench_serve_scheduler",
-      "scheduler scenario sweep: admission policy x workload shape x KV "
-      "budget under overload (sweeps fcfs/sjf/max-util itself)",
-      {{"--seed S", "workload-trace seed (default 42; goldens use 42)"},
-       {"--qps Q", "mean arrival rate (default 8)"},
-       {"--duration S", "arrival window seconds (default 60)"},
-       {"--prefill-chunk N",
-        "per-sequence prefill chunk tokens (0 = unchunked)"},
-       {"--trace-out FILE",
-        "write a Chrome/Perfetto trace of one recorded serial re-run "
-        "(tight-KV bursty cell)"},
-       {"--metrics-out FILE",
-        "write the Prometheus-style metrics exposition of the same run"},
-       bench::bench_json_flag_help()});
-  const SimContext ctx = bench::make_context(args);
-  const bench::ServeCliOptions cli = bench::parse_serve_cli(args, 8.0, 60.0);
-  const index_t chunk = args.get_int("prefill-chunk", 0);
+  const SimContext ctx = make_sim_context(args);
+  serve::ServingConfig base;
+  base.qps = args.get_double("qps", 8.0, "mean arrival rate");
+  base.duration_s =
+      args.get_double("duration", 60.0, "arrival window seconds");
+  base.seed = bench::read_seed(args);
+  base.prefix_cache = bench::read_prefix_cache(args);
+  base.prefill_chunk_tokens = args.get_int(
+      "prefill-chunk", 0, "per-sequence prefill chunk tokens (0 = unchunked)");
+  // The sweep runs fcfs, sjf and max-util itself; --policy picks the
+  // traced run's.
+  const sched::SchedPolicy traced_policy = bench::read_policy(args);
+  const bench::Observation observation(args);
   bench::BenchJsonReporter json(args, ctx, "bench_serve_scheduler");
+  args.finish(
+      "scheduler scenario sweep: admission policy x workload shape x KV "
+      "budget under overload (sweeps fcfs/sjf/max-util itself)");
 
   serve::EngineConfig ecfg;
   ecfg.model = serve::llama2_7b();
@@ -48,6 +42,7 @@ int main(int argc, char** argv) {
   const serve::Engine engine(ecfg);
 
   const index_t block_size = 16;
+  base.kv_block_size = block_size;
   const index_t derived = sched::derive_kv_block_budget(engine, block_size);
   struct Budget {
     std::string label;
@@ -67,7 +62,7 @@ int main(int argc, char** argv) {
 
   std::cout << "=== Scheduler sweep: " << ecfg.model.name << " ("
             << serve::to_string(ecfg.format) << ") on " << ecfg.gpu.name
-            << ", " << cli.qps << " QPS, " << cli.duration_s << " s ===\n"
+            << ", " << base.qps << " QPS, " << base.duration_s << " s ===\n"
             << "KV budgets (blocks of " << block_size
             << " tokens): unlimited, hbm=" << derived << ", tight=128\n\n";
 
@@ -87,16 +82,10 @@ int main(int argc, char** argv) {
   json.set_points(points.size());
   const bench::SweepTimer timer(ctx, "scheduler scenario sweep");
   const auto cells = bench::run_sweep(ctx, points, [&](const Point& pt) {
-    serve::ServingConfig sc;
-    sc.qps = cli.qps;
-    sc.duration_s = cli.duration_s;
-    sc.seed = cli.seed;
-    cli.apply_prefix_cache(sc);
+    serve::ServingConfig sc = base;
     sc.shape = shapes[pt.shape];
     sc.policy = policies[pt.policy];
     sc.kv_blocks = budgets[pt.budget].blocks;
-    sc.kv_block_size = block_size;
-    sc.prefill_chunk_tokens = chunk;
     return serve::simulate(engine, sc).sched;
   });
 
@@ -129,18 +118,12 @@ int main(int argc, char** argv) {
 
   // `--trace-out` / `--metrics-out`: record the tight-KV bursty cell (the
   // one that queues and preempts) in one serial re-run.
-  {
-    serve::ServingConfig sc;
-    sc.qps = cli.qps;
-    sc.duration_s = cli.duration_s;
-    sc.seed = cli.seed;
-    cli.apply_prefix_cache(sc);
-    sc.shape = sched::WorkloadShape::kBursty;
-    sc.policy = cli.policy;
-    sc.kv_blocks = 128;
-    sc.kv_block_size = block_size;
-    sc.prefill_chunk_tokens = chunk;
-    bench::maybe_write_observation(cli, engine, sc);
-  }
+  serve::ServingConfig sc = base;
+  sc.shape = sched::WorkloadShape::kBursty;
+  sc.policy = traced_policy;
+  sc.kv_blocks = 128;
+  observation.maybe_write(engine, sc);
   return 0;
 }
+
+int main(int argc, char** argv) { return marlin::cli_main(argc, argv, run); }

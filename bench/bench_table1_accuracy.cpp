@@ -19,12 +19,10 @@
 #include "quant/uniform.hpp"
 #include "sparse/sparsegpt.hpp"
 
-int main(int argc, char** argv) {
+static int run(marlin::CliArgs& args) {
   using namespace marlin;
-  const CliArgs args(argc, argv);
-  bench::maybe_print_help(args, "bench_table1_accuracy",
-                          "Table 1 - Llama-2-7B accuracy: FP16 vs INT4 vs INT4+2:4");
-  const SimContext ctx = bench::make_context(args);
+  const SimContext ctx = make_sim_context(args);
+  args.finish("Table 1 - Llama-2-7B accuracy: FP16 vs INT4 vs INT4+2:4");
   std::cout << "=== Table 1: Llama-2-7B accuracy (proxy-mapped) ===\n\n";
 
   const auto layer = eval::make_synthetic_layer(256, 128, 768, 4321);
@@ -124,3 +122,5 @@ int main(int argc, char** argv) {
             << "x (2:4+INT4 loses more before fine-tuning, as expected).\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return marlin::cli_main(argc, argv, run); }

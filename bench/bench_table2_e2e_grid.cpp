@@ -16,14 +16,11 @@
 #include "serve/generation.hpp"
 #include "serve/parallel/parallel_engine.hpp"
 
-int main(int argc, char** argv) {
+static int run(marlin::CliArgs& args) {
   using namespace marlin;
-  const CliArgs args(argc, argv);
-  bench::maybe_print_help(args, "bench_table2_e2e_grid",
-                          "Table 2 - end-to-end speedup grid over vLLM FP16",
-                          {bench::bench_json_flag_help()});
-  const SimContext ctx = bench::make_context(args);
+  const SimContext ctx = make_sim_context(args);
   bench::BenchJsonReporter json(args, ctx, "bench_table2_e2e_grid");
+  args.finish("Table 2 - end-to-end speedup grid over vLLM FP16");
   std::cout << "=== Table 2: end-to-end MARLIN speedup vs vLLM FP16 ===\n\n";
 
   struct Row {
@@ -82,3 +79,5 @@ int main(int argc, char** argv) {
                "70B/A100x8 1.38..1.07; Falcon-180B/A100x8 1.76..1.08.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return marlin::cli_main(argc, argv, run); }

@@ -1,27 +1,12 @@
 #pragma once
 // Shared helpers for the figure/table benchmark binaries.
 //
-// Every bench binary accepts `--threads N` (0/absent = MARLIN_THREADS env,
-// then hardware concurrency; 1 = bit-identical serial mode) and fans its
-// sweep points out on the SimContext's shared pool via run_sweep. Results
-// are collected by point index and printed afterwards, so the table output
-// is byte-identical at every thread count.
-//
-// Serving benches (fig15/fig16/bench_serve_scheduler) additionally accept:
-//   --seed S     workload-trace seed (default 42). The trace generator is
-//                a fixed-seed deterministic Rng, so the same seed
-//                reproduces the identical arrival/length trace on every
-//                platform and thread count — goldens rely on seed 42.
-//   --policy P   scheduler admission policy: fcfs | sjf | max-util | wfq
-//                (default fcfs, the goldens configuration; wfq is the
-//                multi-tenant weighted-fair policy).
-//
-// Every binary also answers `--help` via `maybe_print_help` below, which
-// is the single source of flag documentation at runtime.
+// Every bench fans its sweep points out on the SimContext's shared pool
+// via run_sweep. Results are collected by point index and printed
+// afterwards, so the table output is byte-identical at every thread
+// count.
 
-#include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <iostream>
@@ -48,181 +33,101 @@
 
 namespace marlin::bench {
 
-/// One `--flag VALUE` / description pair for the shared help printer.
-struct FlagHelp {
-  std::string flag;
-  std::string text;
-};
-
-/// Shared `--help` handling for every bench and example binary: prints
-/// the binary's one-line summary, the universal `--threads` flag, the
-/// binary-specific flags, and `--help` itself, then exits. Call right
-/// after constructing the CliArgs so `--help` never runs a sweep.
-inline void maybe_print_help(const CliArgs& args, const std::string& binary,
-                             const std::string& summary,
-                             std::vector<FlagHelp> flags = {}) {
-  if (!args.get_bool("help", false)) return;
-  std::vector<FlagHelp> all;
-  all.push_back({"--threads N",
-                 "worker threads; 0/absent = MARLIN_THREADS env, then "
-                 "hardware concurrency; 1 = bit-identical serial mode"});
-  all.push_back({"--simd L",
-                 "SIMD dispatch level: scalar | avx2 | avx512 | auto "
-                 "(default: MARLIN_SIMD env, then auto-detect; every level "
-                 "is bit-identical by contract)"});
-  for (auto& f : flags) all.push_back(std::move(f));
-  all.push_back({"--help", "print this help and exit"});
-  std::size_t width = 0;
-  for (const auto& f : all) width = std::max(width, f.flag.size());
-  std::cout << binary << " — " << summary << "\n\nFlags:\n";
-  for (const auto& f : all) {
-    std::cout << "  " << f.flag << std::string(width - f.flag.size() + 2, ' ')
-              << f.text << "\n";
-  }
-  std::exit(0);
+/// `--seed`: the workload-trace seed. The trace generator is a fixed-seed
+/// Rng, so one seed reproduces the identical arrival/length trace on every
+/// platform and thread count.
+inline std::uint64_t read_seed(CliArgs& args) {
+  return static_cast<std::uint64_t>(
+      args.get_int("seed", 42, "workload-trace seed; the goldens use 42"));
 }
 
-/// The serving flags shared by fig15/fig16/bench_serve_* (documented at
-/// the top of this header).
-inline std::vector<FlagHelp> serving_flag_help() {
-  return {{"--seed S", "workload-trace seed (default 42; goldens use 42)"},
-          {"--policy P",
-           "scheduler admission policy: fcfs | sjf | max-util | wfq"},
-          {"--prefix-cache",
-           "enable the hashed prefix cache (reuses cached shared-prefix KV "
-           "blocks at admission; default off, the goldens configuration)"},
-          {"--prefix-cache-blocks N",
-           "cap on evicted-but-cached blocks kept for reuse (0 = every "
-           "free block may stay cached; only meaningful with "
-           "--prefix-cache)"},
-          {"--trace-out FILE",
-           "write a Chrome/Perfetto trace of one recorded serial re-run of "
-           "a representative config (stderr announce; golden stdout "
-           "untouched)"},
-          {"--metrics-out FILE",
-           "write the Prometheus-style metrics exposition of the same "
-           "recorded run"}};
+/// `--policy`: the scheduler admission policy (fcfs is the goldens
+/// configuration; wfq is the multi-tenant weighted-fair policy).
+inline serve::sched::SchedPolicy read_policy(CliArgs& args) {
+  return serve::sched::policy_by_name(args.get_string(
+      "policy", "fcfs",
+      "scheduler admission policy: fcfs | sjf | max-util | wfq"));
 }
 
-/// Help entry for `--bench-json` (golden benches construct a
-/// BenchJsonReporter and should list this).
-inline FlagHelp bench_json_flag_help() {
-  return {"--bench-json FILE",
-          "append {bench, wall_s, points, threads, simd} to the JSON array "
-          "in FILE (the checked-in BENCH_<pr>.json perf trajectory)"};
+/// `--workload`: the arrival process shape.
+inline serve::sched::WorkloadShape read_workload(CliArgs& args) {
+  return serve::sched::workload_by_name(args.get_string(
+      "workload", "poisson", "arrival shape: poisson | bursty | sharegpt"));
 }
 
-/// The serving flags every serving binary (fig15/fig16/bench_serve_* and
-/// examples/serving_simulation) repeats, parsed once. Defaults for
-/// qps/duration vary per bench and are passed in; the rest are the
-/// goldens configuration.
-struct ServeCliOptions {
-  std::uint64_t seed = 42;
-  serve::sched::SchedPolicy policy = serve::sched::SchedPolicy::kFcfs;
-  serve::sched::WorkloadShape workload =
-      serve::sched::WorkloadShape::kPoisson;
-  double qps = 0;
-  double duration_s = 0;
-  /// `--prefix-cache` / `--prefix-cache-blocks`: hashed prefix cache over
-  /// full prompt blocks (off by default, the goldens configuration).
-  bool prefix_cache = false;
-  index_t prefix_cache_blocks = 0;
-  /// `--trace-out` / `--metrics-out` destinations (empty = off, the
-  /// default — the sweep itself always runs recorder-free).
-  std::string trace_out;
-  std::string metrics_out;
-
-  /// Copies the prefix-cache flags onto a ServingConfig.
-  void apply_prefix_cache(serve::ServingConfig& cfg) const {
-    cfg.prefix_cache.enabled = prefix_cache;
-    cfg.prefix_cache.max_cached_blocks = prefix_cache_blocks;
-  }
-};
-
-inline ServeCliOptions parse_serve_cli(const CliArgs& args,
-                                       double default_qps = 1.0,
-                                       double default_duration_s = 120.0) {
-  ServeCliOptions o;
-  o.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
-  o.policy = serve::sched::policy_by_name(args.get_string("policy", "fcfs"));
-  o.workload =
-      serve::sched::workload_by_name(args.get_string("workload", "poisson"));
-  o.qps = args.get_double("qps", default_qps);
-  o.duration_s = args.get_double("duration", default_duration_s);
-  o.prefix_cache = args.get_bool("prefix-cache", false);
-  o.prefix_cache_blocks =
-      static_cast<index_t>(args.get_int("prefix-cache-blocks", 0));
-  o.trace_out = args.get_string("trace-out", "");
-  o.metrics_out = args.get_string("metrics-out", "");
-  return o;
+/// `--prefix-cache-blocks`: cap on evicted-but-cached prefix blocks.
+inline index_t read_prefix_cache_blocks(CliArgs& args) {
+  return static_cast<index_t>(args.get_int(
+      "prefix-cache-blocks", 0,
+      "cap on evicted-but-cached prefix blocks kept for reuse (0 = every "
+      "free block may stay cached)"));
 }
 
-/// `--trace-out` / `--metrics-out` implementation shared by every serving
-/// bench: re-runs `cfg` once, serially, with an observability recorder
-/// attached, and writes the Perfetto trace / metrics exposition files.
+/// `--prefix-cache` / `--prefix-cache-blocks`: the hashed prefix cache
+/// over full prompt blocks (off by default, the goldens configuration).
+inline serve::sched::PrefixCacheConfig read_prefix_cache(CliArgs& args) {
+  serve::sched::PrefixCacheConfig pc;
+  pc.enabled = args.get_bool(
+      "prefix-cache", false,
+      "enable the hashed prefix cache (reuses cached shared-prefix KV "
+      "blocks at admission)");
+  pc.max_cached_blocks = read_prefix_cache_blocks(args);
+  return pc;
+}
+
+/// `--trace-out` / `--metrics-out`, shared by every serving binary:
+/// re-runs one config serially with an observability recorder attached
+/// and writes the Perfetto trace / metrics exposition files.
 /// The recorded run is separate from the (recorder-free) golden sweep and
 /// announces on stderr only, so the golden-diffed stdout never changes.
 /// Because the simulation is deterministic and the recorder formats every
 /// float with fixed precision, the written files are byte-identical at
 /// every `--threads` setting and across repeat runs.
-inline void maybe_write_observation(const ServeCliOptions& cli,
-                                    const serve::Engine& engine,
-                                    serve::ServingConfig cfg) {
-  if (cli.trace_out.empty() && cli.metrics_out.empty()) return;
-  obs::TraceRecorder trace;
-  obs::MetricsRegistry metrics;
-  obs::ServeRecorder rec(cli.trace_out.empty() ? nullptr : &trace,
-                         cli.metrics_out.empty() ? nullptr : &metrics);
-  cfg.recorder = &rec;
-  (void)serve::simulate(engine, cfg);
-  std::ostringstream note;
-  if (!cli.trace_out.empty()) {
-    trace.write_file(cli.trace_out);
-    note << "[obs] trace: " << cli.trace_out << " (" << trace.events().size()
-         << " events)\n";
-  }
-  if (!cli.metrics_out.empty()) {
-    std::ofstream out(cli.metrics_out);
-    out << metrics.expose();
-    MARLIN_CHECK(out.good(),
-                 "failed writing metrics to " << cli.metrics_out);
-    note << "[obs] metrics: " << cli.metrics_out << "\n";
-  }
-  std::cerr << note.str();
-}
+class Observation {
+ public:
+  explicit Observation(CliArgs& args)
+      : trace_out_(args.get_string(
+            "trace-out", "",
+            "write a Chrome/Perfetto trace of one recorded serial re-run")),
+        metrics_out_(args.get_string(
+            "metrics-out", "",
+            "write the Prometheus-style metrics exposition of the same "
+            "recorded run")) {}
 
-/// Applies `--simd L` (wins over MARLIN_SIMD; "auto" drops back to the
-/// env/auto-detect precedence) and announces the active dispatch level
-/// once, on *stderr* — the golden-diffed stdout stream never changes with
-/// the level, because every level is bit-identical by contract.
-inline void apply_simd_flag(const CliArgs& args) {
-  const std::string flag = args.get_string("simd", "");
-  if (flag == "auto") {
-    simd::reset_level();
-  } else if (!flag.empty()) {
-    simd::set_level(simd::level_by_name(flag));
+  /// Whether either file was asked for.
+  [[nodiscard]] bool enabled() const {
+    return !trace_out_.empty() || !metrics_out_.empty();
   }
-  static bool announced = false;
-  if (!announced) {
-    announced = true;
-    std::ostringstream os;
-    os << "[simd] level: " << simd::to_string(simd::active_level()) << "\n";
-    std::cerr << os.str();
+
+  /// Records `cfg` on `engine` and writes the requested files.
+  void maybe_write(const serve::Engine& engine,
+                   serve::ServingConfig cfg) const {
+    if (!enabled()) return;
+    obs::TraceRecorder trace;
+    obs::MetricsRegistry metrics;
+    obs::ServeRecorder rec(trace_out_.empty() ? nullptr : &trace,
+                           metrics_out_.empty() ? nullptr : &metrics);
+    cfg.recorder = &rec;
+    (void)serve::simulate(engine, cfg);
+    std::ostringstream note;
+    if (!trace_out_.empty()) {
+      trace.write_file(trace_out_);
+      note << "[obs] trace: " << trace_out_ << " (" << trace.events().size()
+           << " events)\n";
+    }
+    if (!metrics_out_.empty()) {
+      std::ofstream out(metrics_out_);
+      out << metrics.expose();
+      MARLIN_CHECK(out.good(), "failed writing metrics to " << metrics_out_);
+      note << "[obs] metrics: " << metrics_out_ << "\n";
+    }
+    std::cerr << note.str();
   }
-}
 
-/// Context for a bench main(): honours --threads / MARLIN_THREADS and the
-/// universal --simd flag. This overload is for benches that also read
-/// their own flags from the CliArgs.
-inline SimContext make_context(const CliArgs& args) {
-  apply_simd_flag(args);
-  return make_sim_context(args);
-}
-
-/// Same, straight from main()'s arguments.
-inline SimContext make_context(int argc, const char* const* argv) {
-  return make_context(CliArgs(argc, argv));
-}
+ private:
+  std::string trace_out_;
+  std::string metrics_out_;
+};
 
 /// Runs fn over every sweep point on the context's pool and returns the
 /// results in point order (deterministic output regardless of threading).
@@ -243,8 +148,9 @@ auto run_sweep(const SimContext& ctx, const std::vector<Point>& points,
   return results;
 }
 
-/// Wall-clock of one sweep section, reported on *stderr* so stdout (the
-/// golden-diffed table stream) stays byte-identical across thread counts.
+/// Wall-clock of one sweep section, with the thread count and the active
+/// SIMD dispatch level, reported on *stderr* so stdout (the golden-diffed
+/// table stream) stays byte-identical across thread counts and levels.
 class SweepTimer {
  public:
   explicit SweepTimer(const SimContext& ctx, std::string label)
@@ -261,7 +167,8 @@ class SweepTimer {
     // line into the middle of a table row.
     std::ostringstream line;
     line << "[sweep] " << label_ << ": " << format_double(s, 3)
-         << " s (threads=" << threads_ << ")\n";
+         << " s (threads=" << threads_
+         << ", simd=" << simd::to_string(simd::active_level()) << ")\n";
     std::cout.flush();
     std::cerr << line.str();
   }
@@ -310,9 +217,12 @@ inline void append_bench_json_record(const std::string& path,
 /// golden-diffed stdout.
 class BenchJsonReporter {
  public:
-  BenchJsonReporter(const CliArgs& args, const SimContext& ctx,
-                    std::string bench)
-      : path_(args.get_string("bench-json", "")), bench_(std::move(bench)),
+  BenchJsonReporter(CliArgs& args, const SimContext& ctx, std::string bench)
+      : path_(args.get_string(
+            "bench-json", "",
+            "append {bench, wall_s, points, threads, simd} to the JSON array "
+            "in this file (the checked-in BENCH_<pr>.json perf trajectory)")),
+        bench_(std::move(bench)),
         threads_(ctx.num_threads()),
         start_(std::chrono::steady_clock::now()) {}
 

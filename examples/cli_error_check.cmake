@@ -1,24 +1,59 @@
-# Input-boundary check: each bad serving_simulation invocation must exit 2
-# with exactly one `serving_simulation: ...` stderr line containing the
-# expected text, instead of aborting or being silently ignored.
+# Input-boundary checks for any bench or example binary.
 #
-# Usage:  cmake -DBINARY=<serving_simulation> -P cli_error_check.cmake
+# Usage:
+#   cmake -DBINARY=<bin> -DMODE=help -P cli_error_check.cmake
+#       --help exits 0, and stdout starts with `<bin> — ` and lists
+#       --threads.
+#   cmake -DBINARY=<bin> -DMODE=unknown-flag -P cli_error_check.cmake
+#       --no-such-flag is a clean error (see expect_clean_error).
+#   cmake -DBINARY=<bin> -P cli_error_check.cmake
+#       the bad-input cases listed below for that binary.
+#
+# A clean error exits 2 with empty stdout and exactly one `<bin>: ...`
+# stderr line containing the expected text, instead of aborting or being
+# silently ignored.
+
+get_filename_component(name "${BINARY}" NAME_WE)
 
 function(expect_clean_error expect)
   list(JOIN ARGN " " args)
   execute_process(COMMAND ${BINARY} ${ARGN}
-    OUTPUT_QUIET ERROR_VARIABLE err RESULT_VARIABLE rc)
+    OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
   string(FIND "${err}" "${expect}" at)
   string(REGEX MATCHALL "\n" newlines "${err}")
   list(LENGTH newlines lines)
   if(NOT rc EQUAL 2 OR at EQUAL -1 OR NOT lines EQUAL 1 OR
-     NOT err MATCHES "^serving_simulation: ")
-    message(FATAL_ERROR "`serving_simulation ${args}` exited with ${rc}; "
-      "expected 2 and one stderr line containing `${expect}`, got:\n${err}")
+     NOT err MATCHES "^${name}: " OR NOT out STREQUAL "")
+    message(FATAL_ERROR "`${name} ${args}` exited with ${rc}; expected 2, "
+      "no stdout and one stderr line containing `${expect}`, got:\n"
+      "${out}${err}")
   endif()
 endfunction()
 
-# The removed --gpus flag points at the one way to shard.
-expect_clean_error("--tp N" --gpus 2)
-# TP 3 divides neither of Llama-2-7B's 32 heads and 32 KV heads.
-expect_clean_error("tensor-parallel degree 3" --tp 3 --qps 1 --duration 5)
+if(MODE STREQUAL "help")
+  execute_process(COMMAND ${BINARY} --help
+    OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
+  string(FIND "${out}" "${name} — " at)
+  string(FIND "${out}" "\n  --threads " threads_at)
+  if(NOT rc EQUAL 0 OR NOT at EQUAL 0 OR threads_at EQUAL -1)
+    message(FATAL_ERROR "`${name} --help` exited with ${rc}; expected 0 "
+      "and a listing that starts with `${name} — ` and names --threads, "
+      "got:\n${out}${err}")
+  endif()
+elseif(MODE STREQUAL "unknown-flag")
+  expect_clean_error("unknown flag `--no-such-flag`" --no-such-flag)
+elseif(name STREQUAL "serving_simulation")
+  # The removed --gpus flag points at the one way to shard.
+  expect_clean_error("--tp N" --gpus 2)
+  # TP 3 divides neither of Llama-2-7B's 32 heads and 32 KV heads.
+  expect_clean_error("tensor-parallel degree 3" --tp 3 --qps 1 --duration 5)
+  # A misspelt flag names the flag it was probably meant to be.
+  expect_clean_error("did you mean `--qps`?" --qpss 5)
+elseif(name STREQUAL "bench_fig15_tpot")
+  # The figure fixes its own QPS axis, so --qps is no flag of this bench.
+  expect_clean_error("unknown flag `--qps`" --qps 5)
+elseif(name STREQUAL "bench_serve_cluster")
+  expect_clean_error("unknown scheduling policy `bogus`" --policy bogus)
+else()
+  message(FATAL_ERROR "no bad-input cases are listed for ${name}")
+endif()

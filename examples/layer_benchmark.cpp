@@ -9,43 +9,38 @@
 
 #include <iostream>
 
-#include "common.hpp"
 #include "baselines/kernel_model.hpp"
 #include "serve/model_config.hpp"
 #include "util/cli.hpp"
+#include "util/sim_context.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+static int run(marlin::CliArgs& args) {
   using namespace marlin;
-  const CliArgs args(argc, argv);
-  bench::maybe_print_help(
-      args, "layer_benchmark",
-      "estimate any kernel on any layer shape and GPU",
-      {{"--device D", "GPU (default a10)"},
-       {"--m N", "batch (default 16)"},
-       {"--group N", "quantization group size (default 128)"},
-       {"--base-clock", "lock to base clocks instead of thermal model"},
-       {"--model M", "use a real model's layer shapes instead of --k/--n"},
-       {"--k N", "custom reduction dim (default 18432)"},
-       {"--n N", "custom output dim (default 73728)"}});
   const SimContext ctx = make_sim_context(args);
-  const auto device = gpusim::device_by_name(
-      args.get_string("device", "a10"));
-  const index_t m = args.get_int("m", 16);
-  const index_t group = args.get_int("group", 128);
-  const gpusim::ClockModel clock{args.get_bool("base-clock", false)
-                                     ? gpusim::ClockMode::kLockedBase
-                                     : gpusim::ClockMode::kBoost};
+  const auto device =
+      gpusim::device_by_name(args.get_string("device", "a10", "GPU"));
+  const index_t m = args.get_int("m", 16, "batch");
+  const index_t group = args.get_int("group", 128, "quantization group size");
+  const gpusim::ClockModel clock{
+      args.get_bool("base-clock", false,
+                    "lock to base clocks instead of the thermal model")
+          ? gpusim::ClockMode::kLockedBase
+          : gpusim::ClockMode::kBoost};
+  const std::string model_name = args.get_string(
+      "model", "", "use a real model's layer shapes instead of --k/--n");
+  const index_t k = args.get_int("k", 18432, "custom reduction dim");
+  const index_t n = args.get_int("n", 73728, "custom output dim");
+  args.finish("estimate any kernel on any layer shape and GPU");
 
   std::vector<serve::LayerShape> shapes;
-  if (args.has("model")) {
-    const auto model = serve::model_by_name(args.get_string("model", ""));
+  if (!model_name.empty()) {
+    const auto model = serve::model_by_name(model_name);
     shapes = serve::block_linear_layers(model);
     std::cout << "layers of one " << model.name << " block, batch " << m
               << ", " << device.name << "\n\n";
   } else {
-    shapes.push_back({"custom", args.get_int("k", 18432),
-                      args.get_int("n", 73728)});
+    shapes.push_back({"custom", k, n});
     std::cout << "custom layer, batch " << m << ", " << device.name
               << "\n\n";
   }
@@ -88,3 +83,5 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   return 0;
 }
+
+int main(int argc, char** argv) { return marlin::cli_main(argc, argv, run); }

@@ -8,7 +8,6 @@
 
 #include <iostream>
 
-#include "common.hpp"
 #include "eval/metrics.hpp"
 #include "eval/synthetic.hpp"
 #include "layout/repack.hpp"
@@ -18,27 +17,21 @@
 #include "util/sim_context.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+static int run(marlin::CliArgs& args) {
   using namespace marlin;
-  const CliArgs args(argc, argv);
-  bench::maybe_print_help(
-      args, "quantize_model",
-      "GPTQ-quantize a synthetic model, report quality and size",
-      {{"--layers N", "layer count (default 4)"},
-       {"--k N", "reduction dim (default 512)"},
-       {"--n N", "output dim (default 256)"},
-       {"--tokens N", "calibration tokens (default 2*k)"},
-       {"--group N", "quantization group size (default 128)"},
-       {"--clip", "clip-search the quantization grid (default on)"}});
   const SimContext ctx = make_sim_context(args);
-  const index_t layers = args.get_int("layers", 4);
-  const index_t k = args.get_int("k", 512);
-  const index_t n = args.get_int("n", 256);
-  const index_t tokens = args.get_int("tokens", 2 * k);
+  const index_t layers = args.get_int("layers", 4, "layer count");
+  const index_t k = args.get_int("k", 512, "reduction dim");
+  const index_t n = args.get_int("n", 256, "output dim");
+  const index_t tokens =
+      args.get_int("tokens", 2 * k, "calibration tokens (default 2 x --k)");
 
   quant::GptqConfig cfg;
-  cfg.quant.group_size = args.get_int("group", 128);
-  cfg.quant.clip_search = args.get_bool("clip", true);
+  cfg.quant.group_size =
+      args.get_int("group", 128, "quantization group size");
+  cfg.quant.clip_search =
+      args.get_bool("clip", true, "clip-search the quantization grid");
+  args.finish("GPTQ-quantize a synthetic model, report quality and size");
 
   std::cout << "GPTQ-quantizing " << layers << " synthetic layers of " << k
             << "x" << n << " (group " << cfg.quant.group_size
@@ -103,3 +96,5 @@ int main(int argc, char** argv) {
             << "x compression)\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return marlin::cli_main(argc, argv, run); }

@@ -9,7 +9,6 @@
 
 #include <iostream>
 
-#include "common.hpp"
 #include "baselines/kernel_model.hpp"
 #include "core/marlin_kernel.hpp"
 #include "core/timing.hpp"
@@ -17,15 +16,13 @@
 #include "quant/uniform.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
+#include "util/sim_context.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+static int run(marlin::CliArgs& args) {
   using namespace marlin;
-  const CliArgs args(argc, argv);
-  bench::maybe_print_help(
-      args, "quickstart",
-      "quantize one layer, run the kernel, check the output");
   const SimContext ctx = make_sim_context(args);
+  args.finish("quantize one layer, run the kernel, check the output");
   const index_t m = 16, k = 512, n = 512;
 
   // 1. A random FP32 weight matrix and an FP16 activation batch.
@@ -87,3 +84,5 @@ int main(int argc, char** argv) {
             << format_double(fp16.seconds / est.seconds, 2) << "x speedup\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return marlin::cli_main(argc, argv, run); }

@@ -24,140 +24,115 @@
 #include "util/error.hpp"
 #include "util/table.hpp"
 
-namespace {
-
-int run(int argc, char** argv) {
+static int run(marlin::CliArgs& args) {
   using namespace marlin;
   namespace sched = serve::sched;
-  const CliArgs args(argc, argv);
-  bench::maybe_print_help(
-      args, "serving_simulation",
-      "trace-driven serving comparison of weight formats (FP16 / MARLIN / "
-      "Sparse-MARLIN) on the request-level scheduler",
-      {{"--model M", "target model (default llama-2-7b)"},
-       {"--device D", "GPU (default rtxa6000)"},
-       {"--qps Q", "mean arrival rate (default 2.5)"},
-       {"--duration S", "arrival window seconds (default 120)"},
-       {"--input-tokens N", "prompt tokens (default 64)"},
-       {"--output-tokens N", "output tokens (default 64)"},
-       {"--seed S", "workload-trace seed (default 42)"},
-       {"--workload W", "arrival shape: poisson | bursty | sharegpt"},
-       {"--policy P", "admission policy: fcfs | sjf | max-util | wfq"},
-       {"--kv-blocks N", "KV budget in blocks (-1 = derive from HBM, 0 = "
-                         "unlimited)"},
-       {"--kv-block-size N", "tokens per KV block (default 16)"},
-       {"--prefill-chunk N", "per-sequence prefill chunk tokens (0 = whole "
-                             "prompt)"},
-       {"--prefix-cache", "enable the hashed prefix cache"},
-       {"--prefix-cache-blocks N",
-        "cap on evicted-but-cached blocks kept for reuse (0 = no cap)"},
-       {"--shared-prefix-tokens N",
-        "shared system-prompt length prepended to tagged prompts (0 = "
-        "off)"},
-       {"--shared-prefix-groups N", "distinct shared headers (default 1)"},
-       {"--shared-prefix-share F",
-        "fraction of requests carrying a shared header (default 1.0)"},
-       {"--sampling-n N", "parallel-sampling width per request (default 1)"},
-       {"--tp N", "tensor-parallel degree (default 1)"},
-       {"--pp N", "pipeline-parallel degree (default 1)"},
-       {"--microbatches N", "pipeline microbatches (0 = one per stage)"},
-       {"--comm-buckets N", "all-reduce chunks overlapped with the next "
-                            "block's compute (default 1 = serialized)"},
-       {"--tenants N", "split traffic over N equal-weight tenants (pair "
-                       "with --policy wfq)"},
-       {"--spec-depth D", "speculative draft tokens per round (0 = off)"},
-       {"--spec-accept A", "per-token draft acceptance (default 0.7)"},
-       {"--draft-model M", "draft model (default tinyllama-1.1b)"},
-       {"--replicas N", "engine replicas behind the router (default 1)"},
-       {"--placement P", "replica placement: round-robin | least-loaded | "
-                         "session-affinity"},
-       {"--prefill-replicas N",
-        "disaggregated pools: prefill-role replicas (pair with "
-        "--decode-replicas; overrides --replicas)"},
-       {"--decode-replicas N",
-        "disaggregated pools: decode-role replicas fed by KV migration"},
-       {"--ttft-slo MS", "TTFT deadline ms (shed-on-hopeless; 0 = off)"},
-       {"--tpot-slo MS", "TPOT deadline ms (violation accounting; 0 = off)"},
-       {"--autoscale", "enable the trace-driven autoscaler"},
-       {"--autoscale-max N", "autoscaler replica ceiling (default 8)"},
-       {"--trace-out FILE",
-        "write a Chrome/Perfetto trace of a serial re-run of this exact "
-        "config (MARLIN engine)"},
-       {"--metrics-out FILE",
-        "write the Prometheus-style metrics exposition of the same run"}});
   if (args.has("gpus")) {
     throw Error("--gpus is not supported; shard the model with --tp N "
                 "(and --pp N for pipeline stages)");
   }
   const SimContext ctx = make_sim_context(args);
-  const bench::ServeCliOptions cli = bench::parse_serve_cli(args, 2.5, 120.0);
   serve::EngineConfig ecfg;
   ecfg.model = serve::model_by_name(
-      args.get_string("model", "llama-2-7b"));
-  ecfg.gpu = gpusim::device_by_name(args.get_string("device", "rtxa6000"));
+      args.get_string("model", "llama-2-7b", "target model"));
+  ecfg.gpu =
+      gpusim::device_by_name(args.get_string("device", "rtxa6000", "GPU"));
 
   serve::ServingConfig scfg;
-  scfg.qps = cli.qps;
-  scfg.duration_s = cli.duration_s;
-  scfg.input_tokens = args.get_int("input-tokens", 64);
-  scfg.output_tokens = args.get_int("output-tokens", 64);
-  scfg.seed = cli.seed;
-  cli.apply_prefix_cache(scfg);
-  scfg.shape = cli.workload;
-  scfg.policy = cli.policy;
+  scfg.qps = args.get_double("qps", 2.5, "mean arrival rate");
+  scfg.duration_s =
+      args.get_double("duration", 120.0, "arrival window seconds");
+  scfg.input_tokens = args.get_int("input-tokens", 64, "prompt tokens");
+  scfg.output_tokens = args.get_int("output-tokens", 64, "output tokens");
+  scfg.seed = bench::read_seed(args);
+  scfg.prefix_cache = bench::read_prefix_cache(args);
+  scfg.shape = bench::read_workload(args);
+  scfg.policy = bench::read_policy(args);
   // --kv-blocks: -1 derives the budget from the device HBM next to the
   // weights (per-rank aware under --tp/--pp); 0 keeps it unlimited; any
   // positive count is used as-is.
-  scfg.kv_blocks = args.get_int("kv-blocks", 0);
-  scfg.kv_block_size = args.get_int("kv-block-size", 16);
-  scfg.prefill_chunk_tokens = args.get_int("prefill-chunk", 0);
-  scfg.shared_prefix_tokens = args.get_int("shared-prefix-tokens", 0);
-  scfg.shared_prefix_groups = args.get_int("shared-prefix-groups", 1);
-  scfg.shared_prefix_share = args.get_double("shared-prefix-share", 1.0);
-  scfg.sampling_n = args.get_int("sampling-n", 1);
-  scfg.parallel.tensor_parallel = static_cast<int>(args.get_int("tp", 1));
-  scfg.parallel.pipeline_parallel = static_cast<int>(args.get_int("pp", 1));
-  scfg.parallel.microbatches =
-      static_cast<int>(args.get_int("microbatches", 0));
-  scfg.parallel.comm_buckets =
-      static_cast<int>(args.get_int("comm-buckets", 1));
-  // Building the rank grid once validates it against the model (degrees,
-  // head divisibility) before anything is printed.
-  (void)serve::parallel::ParallelEngine(serve::Engine(ecfg), scfg.parallel);
+  scfg.kv_blocks = args.get_int(
+      "kv-blocks", 0,
+      "KV budget in blocks (-1 = derive from HBM, 0 = unlimited)");
+  scfg.kv_block_size =
+      args.get_int("kv-block-size", 16, "tokens per KV block");
+  scfg.prefill_chunk_tokens = args.get_int(
+      "prefill-chunk", 0,
+      "per-sequence prefill chunk tokens (0 = whole prompt)");
+  scfg.shared_prefix_tokens = args.get_int(
+      "shared-prefix-tokens", 0,
+      "shared system-prompt length prepended to tagged prompts (0 = off)");
+  scfg.shared_prefix_groups =
+      args.get_int("shared-prefix-groups", 1, "distinct shared headers");
+  scfg.shared_prefix_share = args.get_double(
+      "shared-prefix-share", 1.0,
+      "fraction of requests carrying a shared header");
+  scfg.sampling_n =
+      args.get_int("sampling-n", 1, "parallel-sampling width per request");
+  scfg.parallel.tensor_parallel =
+      static_cast<int>(args.get_int("tp", 1, "tensor-parallel degree"));
+  scfg.parallel.pipeline_parallel =
+      static_cast<int>(args.get_int("pp", 1, "pipeline-parallel degree"));
+  scfg.parallel.microbatches = static_cast<int>(args.get_int(
+      "microbatches", 0, "pipeline microbatches (0 = one per stage)"));
+  scfg.parallel.comm_buckets = static_cast<int>(args.get_int(
+      "comm-buckets", 1,
+      "all-reduce chunks overlapped with the next block's compute (1 = "
+      "serialized)"));
   // --tenants N: N equal-weight, equal-share tenants — enough to exercise
   // the multi-tenant machinery (see bench_serve_multitenant for tiered
   // mixes with quotas).
-  const index_t tenants = args.get_int("tenants", 0);
+  const index_t tenants = args.get_int(
+      "tenants", 0,
+      "split traffic over N equal-weight tenants (pair with --policy wfq)");
   for (index_t t = 0; t < tenants; ++t) {
     sched::TenantSpec spec;
     spec.id = t;
     spec.name = "tenant" + std::to_string(t);
     scfg.tenants.push_back(spec);
   }
-  scfg.speculation.depth = args.get_int("spec-depth", 0);
-  scfg.speculation.acceptance = args.get_double("spec-accept", 0.7);
-  if (args.has("draft-model")) {
-    scfg.draft_model =
-        serve::model_by_name(args.get_string("draft-model", ""));
-  }
+  scfg.speculation.depth = args.get_int(
+      "spec-depth", 0, "speculative draft tokens per round (0 = off)");
+  scfg.speculation.acceptance =
+      args.get_double("spec-accept", 0.7, "per-token draft acceptance");
+  const std::string draft = args.get_string(
+      "draft-model", "", "draft model (empty = tinyllama-1.1b)");
+  if (!draft.empty()) scfg.draft_model = serve::model_by_name(draft);
   // Cluster shape: replicas behind the router, streaming SLOs, autoscaler.
   // The defaults (1 replica, no SLO) are exactly the legacy single-engine
   // simulation.
-  scfg.cluster.replicas = args.get_int("replicas", 1);
-  scfg.cluster.placement = serve::cluster::placement_by_name(
-      args.get_string("placement", "round-robin"));
-  scfg.slo.ttft_deadline_ms = args.get_double("ttft-slo", 0.0);
-  scfg.slo.tpot_deadline_ms = args.get_double("tpot-slo", 0.0);
-  scfg.cluster.autoscaler.enabled = args.get_bool("autoscale", false);
-  scfg.cluster.autoscaler.max_replicas = args.get_int("autoscale-max", 8);
+  scfg.cluster.replicas =
+      args.get_int("replicas", 1, "engine replicas behind the router");
+  scfg.cluster.placement = serve::cluster::placement_by_name(args.get_string(
+      "placement", "round-robin",
+      "replica placement: round-robin | least-loaded | session-affinity"));
+  scfg.slo.ttft_deadline_ms = args.get_double(
+      "ttft-slo", 0.0, "TTFT deadline ms (shed-on-hopeless; 0 = off)");
+  scfg.slo.tpot_deadline_ms = args.get_double(
+      "tpot-slo", 0.0, "TPOT deadline ms (violation accounting; 0 = off)");
+  scfg.cluster.autoscaler.enabled = args.get_bool(
+      "autoscale", false, "enable the trace-driven autoscaler");
+  scfg.cluster.autoscaler.max_replicas =
+      args.get_int("autoscale-max", 8, "autoscaler replica ceiling");
   // Disaggregated pools: --prefill-replicas/--decode-replicas size the
   // fleet directly (KV pricing and the transfer link derive from the
-  // engine and device inside serve::simulate).
-  if (args.has("prefill-replicas") || args.has("decode-replicas")) {
-    scfg.cluster.disagg.enabled = true;
-    scfg.cluster.disagg.prefill_replicas = args.get_int("prefill-replicas", 1);
-    scfg.cluster.disagg.decode_replicas = args.get_int("decode-replicas", 1);
-  }
+  // engine and device inside serve::simulate); giving either one turns
+  // them on.
+  scfg.cluster.disagg.enabled =
+      args.has("prefill-replicas") || args.has("decode-replicas");
+  scfg.cluster.disagg.prefill_replicas = args.get_int(
+      "prefill-replicas", 1,
+      "disaggregated pools: prefill-role replicas (overrides --replicas)");
+  scfg.cluster.disagg.decode_replicas = args.get_int(
+      "decode-replicas", 1,
+      "disaggregated pools: decode-role replicas fed by KV migration");
+  const bench::Observation observation(args);
+  args.finish(
+      "trace-driven serving comparison of weight formats (FP16 / MARLIN / "
+      "Sparse-MARLIN) on the request-level scheduler");
+  // Building the rank grid once validates it against the model (degrees,
+  // head divisibility) before anything is printed.
+  (void)serve::parallel::ParallelEngine(serve::Engine(ecfg), scfg.parallel);
 
   std::cout << ecfg.model.name << " on " << scfg.parallel.world_size()
             << "x " << ecfg.gpu.name;
@@ -260,22 +235,12 @@ int run(int argc, char** argv) {
 
   // `--trace-out` / `--metrics-out`: record the exact configured run on
   // the MARLIN engine in one serial re-run.
-  if (!cli.trace_out.empty() || !cli.metrics_out.empty()) {
+  if (observation.enabled()) {
     auto cfg = ecfg;
     cfg.format = serve::WeightFormat::kMarlin;
-    const serve::Engine engine(cfg);
-    bench::maybe_write_observation(cli, engine, scfg);
+    observation.maybe_write(serve::Engine(cfg), scfg);
   }
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  try {
-    return run(argc, argv);
-  } catch (const marlin::Error& e) {
-    std::cerr << "serving_simulation: " << e.what() << "\n";
-    return 2;
-  }
-}
+int main(int argc, char** argv) { return marlin::cli_main(argc, argv, run); }

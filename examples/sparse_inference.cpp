@@ -6,7 +6,6 @@
 
 #include <iostream>
 
-#include "common.hpp"
 #include "baselines/kernel_model.hpp"
 #include "core/sparse_kernel.hpp"
 #include "eval/metrics.hpp"
@@ -15,21 +14,16 @@
 #include "sparse/compressed.hpp"
 #include "sparse/sparsegpt.hpp"
 #include "util/cli.hpp"
+#include "util/sim_context.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+static int run(marlin::CliArgs& args) {
   using namespace marlin;
-  const CliArgs args(argc, argv);
-  bench::maybe_print_help(
-      args, "sparse_inference",
-      "joint 2:4 pruning + INT4 quantization walkthrough",
-      {{"--k N", "reduction dim (default 256)"},
-       {"--n N", "output dim (default 128)"},
-       {"--m N", "batch (default 16)"}});
   const SimContext ctx = make_sim_context(args);
-  const index_t k = args.get_int("k", 256);
-  const index_t n = args.get_int("n", 128);
-  const index_t m = args.get_int("m", 16);
+  const index_t k = args.get_int("k", 256, "reduction dim");
+  const index_t n = args.get_int("n", 128, "output dim");
+  const index_t m = args.get_int("m", 16, "batch");
+  args.finish("joint 2:4 pruning + INT4 quantization walkthrough");
 
   // 1. Joint 2:4 prune + quantize with Hessian-aware selection.
   const auto layer = eval::make_synthetic_layer(k, n, 3 * k, 777);
@@ -102,3 +96,5 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   return 0;
 }
+
+int main(int argc, char** argv) { return marlin::cli_main(argc, argv, run); }

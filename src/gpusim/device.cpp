@@ -1,48 +1,8 @@
 #include "gpusim/device.hpp"
 
-#include <algorithm>
-#include <cctype>
-#include <sstream>
-#include <string_view>
-
-#include "util/error.hpp"
+#include "util/names.hpp"
 
 namespace marlin::gpusim {
-
-namespace {
-
-/// Case-insensitive comparison without building lowered copies.
-bool iequals(std::string_view a, std::string_view b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (std::tolower(static_cast<unsigned char>(a[i])) !=
-        std::tolower(static_cast<unsigned char>(b[i]))) {
-      return false;
-    }
-  }
-  return true;
-}
-
-/// Levenshtein distance, case-insensitive — cheap on the short catalog
-/// names; drives the "did you mean" suggestion.
-std::size_t edit_distance(std::string_view a, std::string_view b) {
-  std::vector<std::size_t> row(b.size() + 1);
-  for (std::size_t j = 0; j <= b.size(); ++j) row[j] = j;
-  for (std::size_t i = 1; i <= a.size(); ++i) {
-    std::size_t prev = row[0];
-    row[0] = i;
-    for (std::size_t j = 1; j <= b.size(); ++j) {
-      const std::size_t cur = row[j];
-      const bool eq = std::tolower(static_cast<unsigned char>(a[i - 1])) ==
-                      std::tolower(static_cast<unsigned char>(b[j - 1]));
-      row[j] = std::min({row[j] + 1, row[j - 1] + 1, prev + (eq ? 0 : 1)});
-      prev = cur;
-    }
-  }
-  return row[b.size()];
-}
-
-}  // namespace
 
 DeviceSpec a10() {
   DeviceSpec d;
@@ -125,29 +85,8 @@ std::vector<DeviceSpec> all_devices() {
 
 DeviceSpec device_by_name(const std::string& name) {
   static const std::vector<DeviceSpec> catalog = all_devices();
-  for (const auto& d : catalog) {
-    if (iequals(d.name, name)) return d;
-  }
-  const DeviceSpec* closest = nullptr;
-  // Suggest only plausible typos: at most half the request may differ.
-  std::size_t best = name.size() / 2 + 1;
-  std::ostringstream known;
-  for (const auto& d : catalog) {
-    if (&d != &catalog.front()) known << ", ";
-    known << d.name;
-    const std::size_t dist = edit_distance(d.name, name);
-    if (dist < best) {
-      best = dist;
-      closest = &d;
-    }
-  }
-  MARLIN_CHECK(false, "unknown device `"
-                          << name << "`"
-                          << (closest != nullptr
-                                  ? "; did you mean `" + closest->name + "`?"
-                                  : "")
-                          << " known: " << known.str());
-  return {};  // unreachable
+  return by_name("device", name, catalog,
+                 [](const DeviceSpec& d) { return d.name; });
 }
 
 }  // namespace marlin::gpusim

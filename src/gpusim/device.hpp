@@ -75,7 +75,8 @@ DeviceSpec rtx3090();
 /// NVIDIA RTX A6000 (GA102 workstation): full-rate TC, 768 GB/s.
 DeviceSpec rtxa6000();
 
-/// Lookup by case-insensitive name ("a10", "A100", ...). Throws if unknown.
+/// Lookup by case-insensitive name ("a10", "A100", ...); see
+/// util/names.hpp.
 DeviceSpec device_by_name(const std::string& name);
 /// All catalog entries.
 std::vector<DeviceSpec> all_devices();

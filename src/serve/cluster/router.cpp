@@ -2,6 +2,7 @@
 
 #include "obs/serve_recorder.hpp"
 #include "util/error.hpp"
+#include "util/names.hpp"
 
 namespace marlin::serve::cluster {
 
@@ -18,15 +19,11 @@ const char* to_string(Placement p) {
 }
 
 Placement placement_by_name(const std::string& name) {
-  for (const auto p : {Placement::kRoundRobin, Placement::kLeastLoaded,
-                       Placement::kSessionAffinity}) {
-    if (name == to_string(p)) return p;
-  }
-  MARLIN_CHECK(false, "unknown placement policy `"
-                          << name
-                          << "`; known: round-robin, least-loaded, "
-                             "session-affinity");
-  return Placement::kRoundRobin;  // unreachable
+  return by_name("placement policy", name,
+                 std::vector<Placement>{Placement::kRoundRobin,
+                                        Placement::kLeastLoaded,
+                                        Placement::kSessionAffinity},
+                 [](Placement p) { return to_string(p); });
 }
 
 std::size_t Router::pick(const sched::Request& r,

@@ -28,8 +28,8 @@ namespace marlin::serve::cluster {
 enum class Placement { kRoundRobin, kLeastLoaded, kSessionAffinity };
 
 const char* to_string(Placement p);
-/// Parses "round-robin" / "least-loaded" / "session-affinity"; throws on
-/// anything else.
+/// Parses "round-robin" / "least-loaded" / "session-affinity" (any case;
+/// see util/names.hpp).
 Placement placement_by_name(const std::string& name);
 
 /// Deterministic 64-bit mix (splitmix64 finalizer) — the session-affinity

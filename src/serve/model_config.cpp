@@ -1,9 +1,6 @@
 #include "serve/model_config.hpp"
 
-#include <algorithm>
-#include <cctype>
-
-#include "util/error.hpp"
+#include "util/names.hpp"
 
 namespace marlin::serve {
 
@@ -76,17 +73,8 @@ std::vector<ModelConfig> all_models() {
 }
 
 ModelConfig model_by_name(const std::string& name) {
-  std::string lower(name);
-  std::transform(lower.begin(), lower.end(), lower.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
-  for (const auto& m : all_models()) {
-    std::string ml(m.name);
-    std::transform(ml.begin(), ml.end(), ml.begin(),
-                   [](unsigned char c) { return std::tolower(c); });
-    if (ml == lower) return m;
-  }
-  MARLIN_CHECK(false, "unknown model `" << name << "`");
-  return {};  // unreachable
+  return by_name("model", name, all_models(),
+                 [](const ModelConfig& m) { return m.name; });
 }
 
 }  // namespace marlin::serve

@@ -58,6 +58,8 @@ ModelConfig falcon_180b();
 /// draft for the Llama-2 family (shared 32k vocabulary).
 ModelConfig tinyllama_1_1b();
 
+/// Lookup by case-insensitive name ("llama-2-7b", ...); see
+/// util/names.hpp.
 ModelConfig model_by_name(const std::string& name);
 std::vector<ModelConfig> all_models();
 

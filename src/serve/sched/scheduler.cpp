@@ -5,6 +5,7 @@
 
 #include "obs/serve_recorder.hpp"
 #include "util/error.hpp"
+#include "util/names.hpp"
 #include "util/stats.hpp"
 
 namespace marlin::serve::sched {
@@ -24,14 +25,12 @@ const char* to_string(SchedPolicy p) {
 }
 
 SchedPolicy policy_by_name(const std::string& name) {
-  for (const auto p : {SchedPolicy::kFcfs, SchedPolicy::kShortestJob,
-                       SchedPolicy::kMaxUtilization,
-                       SchedPolicy::kWeightedFair}) {
-    if (name == to_string(p)) return p;
-  }
-  MARLIN_CHECK(false, "unknown scheduling policy `"
-                          << name << "`; known: fcfs, sjf, max-util, wfq");
-  return SchedPolicy::kFcfs;  // unreachable
+  return by_name("scheduling policy", name,
+                 std::vector<SchedPolicy>{SchedPolicy::kFcfs,
+                                          SchedPolicy::kShortestJob,
+                                          SchedPolicy::kMaxUtilization,
+                                          SchedPolicy::kWeightedFair},
+                 [](SchedPolicy p) { return to_string(p); });
 }
 
 double SpeculationConfig::expected_tokens_per_round() const {

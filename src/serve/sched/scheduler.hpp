@@ -93,7 +93,8 @@ enum class SchedPolicy {
 };
 
 const char* to_string(SchedPolicy p);
-/// Parses "fcfs" / "sjf" / "max-util" / "wfq"; throws on anything else.
+/// Parses "fcfs" / "sjf" / "max-util" / "wfq" (any case; see
+/// util/names.hpp).
 SchedPolicy policy_by_name(const std::string& name);
 
 /// Draft-model speculative decoding knobs. `depth == 0` disables

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "util/error.hpp"
+#include "util/names.hpp"
 #include "util/rng.hpp"
 
 namespace marlin::serve::sched {
@@ -21,14 +22,11 @@ const char* to_string(WorkloadShape s) {
 }
 
 WorkloadShape workload_by_name(const std::string& name) {
-  for (const auto s : {WorkloadShape::kPoisson, WorkloadShape::kBursty,
-                       WorkloadShape::kShareGpt}) {
-    if (name == to_string(s)) return s;
-  }
-  MARLIN_CHECK(false, "unknown workload `" << name
-                                           << "`; known: poisson, bursty, "
-                                              "sharegpt");
-  return WorkloadShape::kPoisson;  // unreachable
+  return by_name("workload", name,
+                 std::vector<WorkloadShape>{WorkloadShape::kPoisson,
+                                            WorkloadShape::kBursty,
+                                            WorkloadShape::kShareGpt},
+                 [](WorkloadShape s) { return to_string(s); });
 }
 
 namespace {

@@ -25,8 +25,8 @@ namespace marlin::serve::sched {
 enum class WorkloadShape { kPoisson, kBursty, kShareGpt };
 
 const char* to_string(WorkloadShape s);
-/// Parses "poisson" / "bursty" / "sharegpt" (case-sensitive); throws on
-/// anything else, listing the known names.
+/// Parses "poisson" / "bursty" / "sharegpt" (any case; see
+/// util/names.hpp).
 WorkloadShape workload_by_name(const std::string& name);
 
 struct TraceRequest {

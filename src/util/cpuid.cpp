@@ -4,6 +4,7 @@
 #include <cstdlib>
 
 #include "util/error.hpp"
+#include "util/names.hpp"
 
 namespace marlin::simd {
 
@@ -65,13 +66,10 @@ const char* to_string(Level level) {
 }
 
 Level level_by_name(const std::string& name) {
-  for (const Level l : {Level::kScalar, Level::kAvx2, Level::kAvx512}) {
-    if (name == to_string(l)) return l;
-  }
-  MARLIN_CHECK(false, "unknown SIMD level `" << name
-                                             << "`; known: scalar, avx2, "
-                                                "avx512");
-  return Level::kScalar;  // unreachable
+  return by_name("SIMD level", name,
+                 std::vector<Level>{Level::kScalar, Level::kAvx2,
+                                    Level::kAvx512},
+                 [](Level l) { return to_string(l); });
 }
 
 Level max_supported_level() {

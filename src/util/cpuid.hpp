@@ -26,7 +26,7 @@ namespace marlin::simd {
 enum class Level : int { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 
 [[nodiscard]] const char* to_string(Level level);
-/// Parses "scalar" / "avx2" / "avx512"; throws on anything else.
+/// Parses "scalar" / "avx2" / "avx512" (any case; see util/names.hpp).
 [[nodiscard]] Level level_by_name(const std::string& name);
 
 /// Best level this host can run: the CPU's capabilities clamped by what

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <string>
 
 #include "util/cli.hpp"
+#include "util/cpuid.hpp"
 #include "util/error.hpp"
 
 namespace marlin {
@@ -44,9 +46,21 @@ const SimContext& SimContext::serial_context() {
   return ctx;
 }
 
-SimContext make_sim_context(const CliArgs& args) {
-  const std::int64_t threads = args.get_int("threads", 0);
+SimContext make_sim_context(CliArgs& args) {
+  const std::int64_t threads = args.get_int(
+      "threads", 0,
+      "worker threads: 0 = MARLIN_THREADS env, then hardware concurrency; "
+      "1 = bit-identical serial mode");
   MARLIN_CHECK(threads >= 0, "--threads must be >= 0 (0 = auto)");
+  const std::string simd = args.get_string(
+      "simd", "",
+      "SIMD dispatch level: scalar | avx2 | avx512 | auto (empty = "
+      "MARLIN_SIMD env, then auto-detect; every level is bit-identical)");
+  if (simd == "auto") {
+    simd::reset_level();
+  } else if (!simd.empty()) {
+    simd::set_level(simd::level_by_name(simd));
+  }
   return SimContext(static_cast<unsigned>(threads));
 }
 

@@ -74,7 +74,9 @@ class SimContext {
   mutable std::once_flag started_;
 };
 
-/// Context for a binary's `--threads` flag (0/absent = auto policy).
-[[nodiscard]] SimContext make_sim_context(const CliArgs& args);
+/// Context for a binary's `--threads` flag (0/absent = auto policy). Also
+/// reads `--simd`, which wins over MARLIN_SIMD ("auto" drops back to the
+/// env/auto-detect precedence).
+[[nodiscard]] SimContext make_sim_context(CliArgs& args);
 
 }  // namespace marlin

@@ -44,6 +44,20 @@ TEST(ModelCatalog, LookupAndFalconShape) {
   EXPECT_EQ(fl[2].n, f.intermediate);
 }
 
+TEST(ModelCatalog, TypoListsTheCatalogAndSuggestsTheClosestModel) {
+  EXPECT_EQ(model_by_name("LLAMA-2-13B").hidden, 5120);
+  try {
+    (void)model_by_name("llama-2-7");
+    FAIL() << "expected an unknown-model error";
+  } catch (const marlin::Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("did you mean `Llama-2-7B`?"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("known: Llama-2-7B, Llama-2-13B"), std::string::npos)
+        << what;
+  }
+}
+
 EngineConfig a10_7b(WeightFormat fmt) {
   EngineConfig cfg;
   cfg.model = llama2_7b();

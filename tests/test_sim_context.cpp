@@ -92,7 +92,8 @@ TEST(SimContextPolicy, EnvironmentVariableIsHonoured) {
 
 TEST(SimContextPolicy, CliThreadsFlag) {
   const char* argv[] = {"prog", "--threads", "2"};
-  const SimContext ctx = make_sim_context(CliArgs(3, argv));
+  CliArgs args(3, argv);
+  const SimContext ctx = make_sim_context(args);
   EXPECT_EQ(ctx.num_threads(), 2u);
 }
 

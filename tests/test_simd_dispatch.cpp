@@ -111,7 +111,8 @@ TEST(SimdDispatch, LevelNamesRoundTrip) {
     EXPECT_EQ(simd::level_by_name(simd::to_string(l)), l);
   }
   EXPECT_THROW((void)simd::level_by_name("neon"), Error);
-  EXPECT_THROW((void)simd::level_by_name("AVX2"), Error);  // case-sensitive
+  // Names match in any case (util/names.hpp), like every other parser.
+  EXPECT_EQ(simd::level_by_name("AVX2"), simd::Level::kAvx2);
   EXPECT_THROW((void)simd::level_by_name("auto"), Error);  // env-only token
 }
 

@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <sstream>
 
 #include "util/cli.hpp"
 #include "util/error.hpp"
 #include "util/matrix.hpp"
+#include "util/names.hpp"
 #include "util/rng.hpp"
 #include "util/sim_context.hpp"
 #include "util/stats.hpp"
@@ -124,24 +126,38 @@ TEST(FormatHelpers, HumanUnits) {
 }
 
 TEST(Cli, ParsesAllForms) {
-  const char* argv[] = {"prog",       "--m=16", "--device",
-                        "a10",        "positional", "--enable"};
-  const CliArgs args(6, argv);
-  EXPECT_EQ(args.get_int("m", 0), 16);
-  EXPECT_EQ(args.get_string("device", ""), "a10");
-  EXPECT_TRUE(args.get_bool("enable", false));
-  EXPECT_EQ(args.get_int("missing", 99), 99);
-  ASSERT_EQ(args.positional().size(), 1u);
-  EXPECT_EQ(args.positional()[0], "positional");
+  const char* argv[] = {"prog", "--m=16", "--device", "a10", "--enable"};
+  CliArgs args(5, argv);
+  EXPECT_EQ(args.get_int("m", 0, "batch"), 16);
+  EXPECT_EQ(args.get_string("device", "", "GPU"), "a10");
+  EXPECT_TRUE(args.get_bool("enable", false, "switch"));
+  EXPECT_EQ(args.get_int("missing", 99, "absent"), 99);
+  EXPECT_NO_THROW(args.finish(""));
+}
+
+TEST(Cli, StrayPositionalIsAnError) {
+  const char* argv[] = {"prog", "--m=16", "positional"};
+  EXPECT_THROW(CliArgs(3, argv), Error);
 }
 
 TEST(Cli, NumericGettersAcceptWholeNumbers) {
   const char* argv[] = {"prog", "--n=-12", "--qps", "0.25", "--big=1e3"};
-  const CliArgs args(5, argv);
-  EXPECT_EQ(args.get_int("n", 0), -12);
-  EXPECT_EQ(args.get_double("qps", 0), 0.25);
-  EXPECT_EQ(args.get_double("big", 0), 1000.0);
-  EXPECT_EQ(args.get_double("missing", 1.5), 1.5);
+  CliArgs args(5, argv);
+  EXPECT_EQ(args.get_int("n", 0, ""), -12);
+  EXPECT_EQ(args.get_double("qps", 0, ""), 0.25);
+  EXPECT_EQ(args.get_double("big", 0, ""), 1000.0);
+  EXPECT_EQ(args.get_double("missing", 1.5, ""), 1.5);
+}
+
+/// The message of the `Error` that `get` throws ("" when it throws none).
+template <typename Fn>
+std::string error_message(Fn&& get) {
+  try {
+    get();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
 }
 
 TEST(Cli, NumericGettersRejectMalformedValuesNamingFlagAndValue) {
@@ -149,30 +165,122 @@ TEST(Cli, NumericGettersRejectMalformedValuesNamingFlagAndValue) {
                         "12x",         "--empty=",  "--gap= 3",
                         "--frac=1.5",  "--huge=99999999999999999999",
                         "--nan=nan",   "--bare"};
-  const CliArgs args(11, argv);
-  const auto message = [&](auto&& get) -> std::string {
-    try {
-      get();
-    } catch (const Error& e) {
-      return e.what();
-    }
-    return "";
-  };
-  const std::string qps = message([&] { (void)args.get_double("qps", 1); });
+  CliArgs args(11, argv);
+  const std::string qps =
+      error_message([&] { (void)args.get_double("qps", 1, ""); });
   EXPECT_NE(qps.find("--qps"), std::string::npos) << qps;
   EXPECT_NE(qps.find("`abc`"), std::string::npos) << qps;
   const std::string replicas =
-      message([&] { (void)args.get_int("replicas", 1); });
+      error_message([&] { (void)args.get_int("replicas", 1, ""); });
   EXPECT_NE(replicas.find("--replicas"), std::string::npos) << replicas;
   EXPECT_NE(replicas.find("`12x`"), std::string::npos) << replicas;
-  EXPECT_THROW((void)args.get_int("empty", 1), Error);
-  EXPECT_THROW((void)args.get_double("empty", 1), Error);
-  EXPECT_THROW((void)args.get_int("gap", 1), Error);
-  EXPECT_THROW((void)args.get_int("frac", 1), Error);
-  EXPECT_THROW((void)args.get_int("huge", 1), Error);
-  EXPECT_THROW((void)args.get_double("nan", 1), Error);
-  EXPECT_THROW((void)args.get_int("bare", 1), Error);  // parsed as "true"
-  EXPECT_EQ(args.get_double("frac", 0), 1.5);
+  EXPECT_THROW((void)args.get_int("empty", 1, ""), Error);
+  EXPECT_THROW((void)args.get_double("empty", 1, ""), Error);
+  EXPECT_THROW((void)args.get_int("gap", 1, ""), Error);
+  EXPECT_THROW((void)args.get_int("frac", 1, ""), Error);
+  EXPECT_THROW((void)args.get_int("huge", 1, ""), Error);
+  EXPECT_THROW((void)args.get_double("nan", 1, ""), Error);
+  EXPECT_THROW((void)args.get_int("bare", 1, ""), Error);  // parsed as "true"
+  EXPECT_EQ(args.get_double("frac", 0, ""), 1.5);
+}
+
+TEST(Cli, GetBoolAcceptsSixWordsAndRejectsOthersNamingFlagAndValue) {
+  const char* argv[] = {"prog",     "--a=true", "--b=1",   "--c=yes",
+                        "--d=false", "--e=0",   "--f=no",  "--clip=ture",
+                        "--on=TRUE", "--empty="};
+  CliArgs args(10, argv);
+  for (const char* on : {"a", "b", "c"}) {
+    EXPECT_TRUE(args.get_bool(on, false, ""));
+  }
+  for (const char* off : {"d", "e", "f"}) {
+    EXPECT_FALSE(args.get_bool(off, true, ""));
+  }
+  const std::string clip =
+      error_message([&] { (void)args.get_bool("clip", true, ""); });
+  EXPECT_NE(clip.find("--clip"), std::string::npos) << clip;
+  EXPECT_NE(clip.find("`ture`"), std::string::npos) << clip;
+  EXPECT_THROW((void)args.get_bool("on", false, ""), Error);
+  EXPECT_THROW((void)args.get_bool("empty", false, ""), Error);
+}
+
+TEST(Cli, HelpListsEveryReadFlagWithItsDefaultInReadOrder) {
+  const char* argv[] = {"/path/to/prog"};
+  CliArgs args(1, argv);
+  (void)args.get_int("threads", 0, "worker threads");
+  (void)args.get_double("qps", 2.5, "mean arrival rate");
+  (void)args.get_string("policy", "fcfs", "admission policy");
+  (void)args.get_string("trace-out", "", "trace file");
+  (void)args.get_bool("autoscale", false, "enable the autoscaler");
+  (void)args.get_int("threads", 7, "read again: the first read wins");
+  EXPECT_EQ(args.help("does things"),
+            "prog — does things\n"
+            "\n"
+            "Flags:\n"
+            "  --threads INT    worker threads (default: 0)\n"
+            "  --qps NUM        mean arrival rate (default: 2.5)\n"
+            "  --policy STR     admission policy (default: fcfs)\n"
+            "  --trace-out STR  trace file (default: \"\")\n"
+            "  --autoscale      enable the autoscaler (default: false)\n"
+            "  --help           print this help and exit\n");
+}
+
+TEST(Cli, UnreadFlagIsAnErrorNamingItWithASuggestion) {
+  const char* argv[] = {"prog", "--qpss", "5", "--seed", "1"};
+  CliArgs args(5, argv);
+  (void)args.get_double("qps", 1.0, "mean arrival rate");
+  (void)args.get_int("seed", 42, "trace seed");
+  const std::string what = error_message([&] { args.finish(""); });
+  EXPECT_NE(what.find("unknown flag `--qpss`"), std::string::npos) << what;
+  EXPECT_NE(what.find("did you mean `--qps`?"), std::string::npos) << what;
+  EXPECT_NE(what.find("known: --qps, --seed, --help"), std::string::npos)
+      << what;
+  // Every read belongs before finish(): --help could not list a later one.
+  EXPECT_THROW((void)args.get_int("late", 0, ""), Error);
+}
+
+TEST(Cli, HasIsAPureQueryThatDeclaresNothing) {
+  const char* argv[] = {"prog", "--gpus", "2"};
+  CliArgs args(3, argv);
+  EXPECT_TRUE(args.has("gpus"));
+  EXPECT_FALSE(args.has("tp"));
+  EXPECT_EQ(args.help("").find("--gpus"), std::string::npos);
+  const std::string what = error_message([&] { args.finish(""); });
+  EXPECT_NE(what.find("unknown flag `--gpus`"), std::string::npos) << what;
+}
+
+TEST(Cli, MainBoundaryTurnsErrorsIntoExitStatusTwo) {
+  const char* ok[] = {"prog", "--n", "3"};
+  EXPECT_EQ(cli_main(3, ok, [](CliArgs& args) {
+              const auto n = args.get_int("n", 0, "");
+              args.finish("");
+              return static_cast<int>(n);
+            }),
+            3);
+  const char* bad[] = {"prog", "--nn", "3"};
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(cli_main(3, bad, [](CliArgs& args) {
+              (void)args.get_int("n", 0, "");
+              args.finish("");
+              return 0;
+            }),
+            2);
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(err.rfind("prog: unknown flag `--nn`", 0), 0u) << err;
+  EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
+}
+
+TEST(NameLookup, CaseInsensitiveWithListAndSuggestion) {
+  const std::vector<std::string> known{"round-robin", "least-loaded"};
+  EXPECT_EQ(find_name("placement", "LEAST-loaded", known), 1u);
+  const std::string typo = error_message(
+      [&] { (void)find_name("placement", "least-loded", known); });
+  EXPECT_EQ(typo,
+            "unknown placement `least-loded`; did you mean `least-loaded`? "
+            "known: round-robin, least-loaded");
+  const std::string far =
+      error_message([&] { (void)find_name("placement", "zzz", known); });
+  EXPECT_EQ(far.find("did you mean"), std::string::npos) << far;
+  EXPECT_EQ(edit_distance("Kitten", "sitting"), 3u);
 }
 
 // The pool is reached through SimContext — the only supported owner.
