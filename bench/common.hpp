@@ -44,15 +44,17 @@ inline std::uint64_t read_seed(CliArgs& args) {
 /// `--policy`: the scheduler admission policy (fcfs is the goldens
 /// configuration; wfq is the multi-tenant weighted-fair policy).
 inline serve::sched::SchedPolicy read_policy(CliArgs& args) {
-  return serve::sched::policy_by_name(args.get_string(
+  return args.get_parsed(
       "policy", "fcfs",
-      "scheduler admission policy: fcfs | sjf | max-util | wfq"));
+      "scheduler admission policy: fcfs | sjf | max-util | wfq",
+      serve::sched::policy_by_name);
 }
 
 /// `--workload`: the arrival process shape.
 inline serve::sched::WorkloadShape read_workload(CliArgs& args) {
-  return serve::sched::workload_by_name(args.get_string(
-      "workload", "poisson", "arrival shape: poisson | bursty | sharegpt"));
+  return args.get_parsed("workload", "poisson",
+                         "arrival shape: poisson | bursty | sharegpt",
+                         serve::sched::workload_by_name);
 }
 
 /// `--prefix-cache-blocks`: cap on evicted-but-cached prefix blocks.

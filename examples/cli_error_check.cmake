@@ -30,6 +30,19 @@ function(expect_clean_error expect)
   endif()
 endfunction()
 
+# `--help` wins over bad values: exit 0, no stderr and a listing naming
+# `usage` (e.g. `--threads INT`).
+function(expect_listing usage)
+  list(JOIN ARGN " " args)
+  execute_process(COMMAND ${BINARY} ${ARGN}
+    OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
+  string(FIND "${out}" "\n  ${usage} " at)
+  if(NOT rc EQUAL 0 OR at EQUAL -1 OR NOT err STREQUAL "")
+    message(FATAL_ERROR "`${name} ${args}` exited with ${rc}; expected 0, "
+      "no stderr and a listing that names `${usage}`, got:\n${out}${err}")
+  endif()
+endfunction()
+
 if(MODE STREQUAL "help")
   execute_process(COMMAND ${BINARY} --help
     OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
@@ -52,6 +65,18 @@ elseif(name STREQUAL "serving_simulation")
 elseif(name STREQUAL "bench_fig15_tpot")
   # The figure fixes its own QPS axis, so --qps is no flag of this bench.
   expect_clean_error("unknown flag `--qps`" --qps 5)
+  # --help wins over a bad value: the listing, exit 0.
+  expect_listing("--policy STR" --help --policy bogus)
+elseif(name STREQUAL "bench_fig1_peak")
+  # A negative thread count is a value error too, so --help still wins.
+  expect_clean_error("--threads must be >= 0 (0 = auto), got `-1`"
+    --threads -1)
+  expect_listing("--threads INT" --help --threads -1)
+  # MARLIN_THREADS follows the --threads rules instead of falling back.
+  set(ENV{MARLIN_THREADS} abc)
+  expect_clean_error("MARLIN_THREADS expects an integer, got `abc`")
+  set(ENV{MARLIN_THREADS} -3)
+  expect_clean_error("MARLIN_THREADS must be >= 0")
 elseif(name STREQUAL "bench_serve_cluster")
   expect_clean_error("unknown scheduling policy `bogus`" --policy bogus)
 else()

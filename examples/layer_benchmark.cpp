@@ -19,7 +19,7 @@ static int run(marlin::CliArgs& args) {
   using namespace marlin;
   const SimContext ctx = make_sim_context(args);
   const auto device =
-      gpusim::device_by_name(args.get_string("device", "a10", "GPU"));
+      args.get_parsed("device", "a10", "GPU", gpusim::device_by_name);
   const index_t m = args.get_int("m", 16, "batch");
   const index_t group = args.get_int("group", 128, "quantization group size");
   const gpusim::ClockModel clock{

@@ -16,6 +16,7 @@
 // exits with status 2.
 
 #include <iostream>
+#include <optional>
 
 #include "common.hpp"
 #include "serve/parallel/parallel_engine.hpp"
@@ -33,10 +34,10 @@ static int run(marlin::CliArgs& args) {
   }
   const SimContext ctx = make_sim_context(args);
   serve::EngineConfig ecfg;
-  ecfg.model = serve::model_by_name(
-      args.get_string("model", "llama-2-7b", "target model"));
+  ecfg.model = args.get_parsed("model", "llama-2-7b", "target model",
+                               serve::model_by_name);
   ecfg.gpu =
-      gpusim::device_by_name(args.get_string("device", "rtxa6000", "GPU"));
+      args.get_parsed("device", "rtxa6000", "GPU", gpusim::device_by_name);
 
   serve::ServingConfig scfg;
   scfg.qps = args.get_double("qps", 2.5, "mean arrival rate");
@@ -95,17 +96,22 @@ static int run(marlin::CliArgs& args) {
       "spec-depth", 0, "speculative draft tokens per round (0 = off)");
   scfg.speculation.acceptance =
       args.get_double("spec-accept", 0.7, "per-token draft acceptance");
-  const std::string draft = args.get_string(
-      "draft-model", "", "draft model (empty = tinyllama-1.1b)");
-  if (!draft.empty()) scfg.draft_model = serve::model_by_name(draft);
+  const auto draft = args.get_parsed(
+      "draft-model", "", "draft model (empty = tinyllama-1.1b)",
+      [](const std::string& name) {
+        return name.empty() ? std::optional<serve::ModelConfig>()
+                            : serve::model_by_name(name);
+      });
+  if (draft) scfg.draft_model = *draft;
   // Cluster shape: replicas behind the router, streaming SLOs, autoscaler.
   // The defaults (1 replica, no SLO) are exactly the legacy single-engine
   // simulation.
   scfg.cluster.replicas =
       args.get_int("replicas", 1, "engine replicas behind the router");
-  scfg.cluster.placement = serve::cluster::placement_by_name(args.get_string(
+  scfg.cluster.placement = args.get_parsed(
       "placement", "round-robin",
-      "replica placement: round-robin | least-loaded | session-affinity"));
+      "replica placement: round-robin | least-loaded | session-affinity",
+      serve::cluster::placement_by_name);
   scfg.slo.ttft_deadline_ms = args.get_double(
       "ttft-slo", 0.0, "TTFT deadline ms (shed-on-hopeless; 0 = off)");
   scfg.slo.tpot_deadline_ms = args.get_double(

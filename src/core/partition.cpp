@@ -118,19 +118,22 @@ PartitionStats striped_partition_stats(index_t tile_rows, index_t tile_cols,
 
   // A stripe boundary strictly inside a column splits it into one more
   // segment; a column with S segments needs S-1 serial reduction steps.
-  std::vector<index_t> depth(
-      static_cast<std::size_t>(tile_cols * m_blocks), 1);
+  // Boundaries rise strictly with `sm`, so the splits of one column are
+  // consecutive: its depth is 1 + the length of that run of equal split
+  // columns.
+  index_t run_col = -1;
+  index_t run_len = 0;
   for (int sm = 1; sm < num_sms; ++sm) {
     const index_t b =
         static_cast<index_t>(sm) * base + std::min<index_t>(sm, rem);
     if (b >= st.total_tiles) break;
     if (b % tile_rows != 0) {
       ++st.reduction_steps;
-      ++depth[static_cast<std::size_t>(b / tile_rows)];
+      const index_t col = b / tile_rows;
+      run_len = col == run_col ? run_len + 1 : 1;
+      run_col = col;
+      st.max_column_depth = std::max(st.max_column_depth, run_len + 1);
     }
-  }
-  for (const index_t d : depth) {
-    st.max_column_depth = std::max(st.max_column_depth, d);
   }
   return st;
 }

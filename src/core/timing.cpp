@@ -49,7 +49,11 @@ gpusim::KernelEstimate estimate_impl(const MatmulProblem& p,
 
   // Thermal feedback: effective clock depends on how long the tensor pipes
   // stay busy, which depends on the clock; two fixed-point iterations
-  // converge well within model accuracy.
+  // converge well within model accuracy. Every value an iteration
+  // computes is a pure function of `clock_ghz`, so once the next clock
+  // equals the one just used the loop is at its fixed point and a further
+  // pass would reproduce `est` bit for bit (always under kBoost, and under
+  // kAutoThermal below the thermal budget).
   double clock_ghz = d.boost_clock_ghz;
   gpusim::KernelEstimate est;
   for (int iter = 0; iter < 2; ++iter) {
@@ -112,10 +116,12 @@ gpusim::KernelEstimate estimate_impl(const MatmulProblem& p,
         est.seconds > 0
             ? std::min(1.0, est.breakdown.compute_s / est.seconds)
             : 0.0;
-    clock_ghz = clock.effective_clock_ghz(d, busy_fraction * est.seconds);
-    if (clock.mode != gpusim::ClockMode::kAutoThermal) {
-      clock_ghz = clock.effective_clock_ghz(d, 0.0);
-    }
+    const double next_ghz =
+        clock.mode == gpusim::ClockMode::kAutoThermal
+            ? clock.effective_clock_ghz(d, busy_fraction * est.seconds)
+            : clock.effective_clock_ghz(d, 0.0);
+    if (next_ghz == clock_ghz) break;
+    clock_ghz = next_ghz;
   }
 
   est.useful_flops = p.flops();

@@ -49,9 +49,12 @@ BlockManager::BlockManager(BlockManagerConfig cfg) : cfg_(std::move(cfg)) {
     MARLIN_CHECK(tenant >= 0, "tenant id must be >= 0");
     MARLIN_CHECK(quota >= 0, "tenant " << tenant
                                        << " quota must be >= 0 blocks");
-    MARLIN_CHECK(!quotas_.contains(tenant),
+    if (uz(tenant) >= quotas_.size()) {
+      quotas_.resize(uz(tenant) + 1, kNoQuota);
+    }
+    MARLIN_CHECK(quotas_[uz(tenant)] == kNoQuota,
                  "duplicate quota for tenant " << tenant);
-    quotas_[tenant] = quota;
+    quotas_[uz(tenant)] = quota;
   }
 }
 
@@ -401,15 +404,16 @@ index_t BlockManager::tenant_used_blocks(index_t tenant) const {
 }
 
 bool BlockManager::has_quota(index_t tenant) const {
-  return quotas_.contains(tenant);
+  return effective_quota(tenant) != kNoQuota;
 }
 
 index_t BlockManager::effective_quota(index_t tenant) const {
-  const auto it = quotas_.find(tenant);
-  if (it == quotas_.end()) return kNoQuota;
+  if (tenant < 0 || uz(tenant) >= quotas_.size()) return kNoQuota;
+  const index_t quota = quotas_[uz(tenant)];
   // A quota cannot promise more than the cache holds (quota > budget is
   // legal configuration but clamps here); unlimited caches never clamp.
-  return unlimited() ? it->second : std::min(it->second, cfg_.num_blocks);
+  if (quota == kNoQuota || unlimited()) return quota;
+  return std::min(quota, cfg_.num_blocks);
 }
 
 index_t BlockManager::over_quota_blocks(index_t tenant) const {

@@ -48,7 +48,6 @@
 // of the model (see `derive_kv_block_budget`).
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -217,6 +216,8 @@ class BlockManager {
   [[nodiscard]] index_t tenant_used_blocks(index_t tenant) const;
   /// True when the tenant carries a configured quota.
   [[nodiscard]] bool has_quota(index_t tenant) const;
+  /// True when any tenant carries a configured quota.
+  [[nodiscard]] bool has_quotas() const { return !cfg_.tenant_quotas.empty(); }
   /// The tenant's *effective* quota: the configured value capped by the
   /// total budget (a quota cannot promise more than the cache holds).
   /// Returns kNoQuota for unquoted tenants.
@@ -305,7 +306,9 @@ class BlockManager {
   /// hash -> published block id. Never iterated (see IdentityHash).
   std::unordered_map<std::uint64_t, index_t, IdentityHash> table_;
 
-  std::map<index_t, index_t> quotas_;  // tenant -> configured quota
+  /// Configured quota per tenant, indexed by tenant id (kNoQuota for
+  /// unquoted tenants and past the end).
+  std::vector<index_t> quotas_;
   /// Blocks charged per tenant, indexed by tenant id (ids are small and
   /// dense). A flat array keeps the per-block charge transfer of the
   /// last-toucher rule off the hot path's map; grown only when a new

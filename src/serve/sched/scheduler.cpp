@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 
 #include "obs/serve_recorder.hpp"
 #include "util/error.hpp"
@@ -200,11 +201,11 @@ class Ticker {
 
  private:
   [[nodiscard]] const TenantSpec& spec_of(index_t tenant) const {
-    return s_.tenant_specs.find(tenant)->second;
+    return s_.tenant_specs[static_cast<std::size_t>(tenant)];
   }
   void add_service(index_t tenant, index_t tokens) {
     if (!wfq_) return;
-    s_.service_debt[tenant] +=
+    s_.service_debt[static_cast<std::size_t>(tenant)] +=
         static_cast<double>(tokens) / spec_of(tenant).weight;
   }
 
@@ -214,7 +215,7 @@ class Ticker {
   // rises with service, so no tier or debt can starve it.
   [[nodiscard]] double wfq_key(const Request& r) const {
     const TenantSpec& t = spec_of(r.tenant_id);
-    return s_.service_debt.find(r.tenant_id)->second +
+    return s_.service_debt[static_cast<std::size_t>(r.tenant_id)] +
            static_cast<double>(t.tier) * cfg_.wfq_tier_penalty_tokens -
            cfg_.wfq_aging_tokens_per_s * (s_.now - r.arrival_s);
   }
@@ -323,8 +324,10 @@ class Ticker {
   // first and only executed when it fully covers the admission —
   // otherwise nobody is preempted, because a partial reclaim would
   // destroy victims' KV (recompute on re-admission) without admitting
-  // anyone.
+  // anyone. Without quotas no tenant is ever over quota, so there is
+  // never a victim and the call returns at once.
   void reclaim_for(const Request& r) {
+    if (!s_.bm.has_quotas()) return;
     const index_t needed = s_.bm.blocks_for_tokens(r.prefill_target());
     if (!s_.bm.within_quota(r.tenant_id, needed)) {
       return;  // borrowers wait for genuinely free blocks
@@ -399,17 +402,21 @@ void Ticker::admit() {
   scr.order.assign(s_.queue.begin(), s_.queue.end());
   if (wfq_) {
     // Keys are loop-invariant during the sort; compute each once
-    // instead of per comparison (stable on ties, like the other
-    // policies).
+    // instead of per comparison. Equal keys keep queue order (like the
+    // other policies' stable sort): the queue position breaks ties, so
+    // the in-place sort needs no temporary buffer.
     scr.keyed.clear();
-    for (const std::size_t id : scr.order) {
-      scr.keyed.emplace_back(wfq_key(requests_[id]), id);
+    for (std::size_t pos = 0; pos < scr.order.size(); ++pos) {
+      scr.keyed.emplace_back(wfq_key(requests_[scr.order[pos]]), pos);
     }
-    std::stable_sort(
-        scr.keyed.begin(), scr.keyed.end(),
-        [](const auto& a, const auto& b) { return a.first < b.first; });
+    std::sort(scr.keyed.begin(), scr.keyed.end(),
+              [](const auto& a, const auto& b) {
+                if (a.first < b.first) return true;
+                if (b.first < a.first) return false;
+                return a.second < b.second;
+              });
     for (std::size_t i = 0; i < scr.keyed.size(); ++i) {
-      scr.order[i] = scr.keyed[i].second;
+      scr.order[i] = s_.queue[scr.keyed[i].second];
     }
   } else if (cfg_.policy != SchedPolicy::kFcfs) {
     std::stable_sort(scr.order.begin(), scr.order.end(),
@@ -697,10 +704,10 @@ Scheduler::Scheduler(const StepModel& model, SchedulerConfig cfg,
 void Scheduler::register_tenants(ReplicaState& s,
                                  const std::vector<Request>& requests) const {
   for (const Request& r : requests) {
-    if (!s.tenant_specs.contains(r.tenant_id)) {
-      s.tenant_specs.emplace(r.tenant_id,
-                             tenant_spec_or_default(cfg_.tenants, r.tenant_id));
-      s.service_debt[r.tenant_id] = 0.0;
+    for (auto id = static_cast<index_t>(s.tenant_specs.size());
+         id <= r.tenant_id; ++id) {
+      s.tenant_specs.push_back(tenant_spec_or_default(cfg_.tenants, id));
+      s.service_debt.push_back(0.0);
     }
   }
 }

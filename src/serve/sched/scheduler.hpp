@@ -49,7 +49,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -186,10 +185,11 @@ struct ReplicaState {
   double batch_weighted = 0;
   double decode_time_total = 0;
 
-  // WFQ state: one resolved spec and one weighted service-debt counter
-  // (tokens served / weight) per tenant appearing in the trace.
-  std::map<index_t, TenantSpec> tenant_specs;
-  std::map<index_t, double> service_debt;
+  // WFQ state, indexed by dense tenant id: one resolved spec and one
+  // weighted service-debt counter (tokens served / weight) per tenant id
+  // up to the largest appearing in the trace.
+  std::vector<TenantSpec> tenant_specs;
+  std::vector<double> service_debt;
 
   /// Reusable per-tick scratch buffers. Kept on the replica (not on the
   /// per-call Ticker) so a steady-state decode tick performs zero heap
@@ -198,7 +198,7 @@ struct ReplicaState {
   struct TickScratch {
     /// Queue snapshot, rearranged into policy order by `admit`.
     std::vector<std::size_t> order;
-    /// Precomputed WFQ `(key, request)` pairs for the stable sort.
+    /// Precomputed WFQ `(key, queue position)` pairs for the sort.
     std::vector<std::pair<double, std::size_t>> keyed;
     /// Per-request "left the queue this pass" flags; lazily sized to the
     /// request vector and re-cleared (via `order`) after every pass.
@@ -286,10 +286,11 @@ class Scheduler {
     return ReplicaState(cfg_.blocks);
   }
 
-  /// Registers every tenant appearing in `requests` in `s` (resolved
-  /// spec + zeroed service debt), exactly as the legacy loop did before
-  /// its first iteration. Idempotent; call once per replica before
-  /// ticking (including replicas the autoscaler adds mid-run).
+  /// Registers every tenant id up to the largest appearing in `requests`
+  /// in `s` (resolved spec + zeroed service debt), exactly as the legacy
+  /// loop did before its first iteration. Idempotent; call once per
+  /// replica before ticking (including replicas the autoscaler adds
+  /// mid-run).
   void register_tenants(ReplicaState& s,
                         const std::vector<Request>& requests) const;
 

@@ -31,6 +31,16 @@ bool parsed_whole(const std::string& value, const char* end) {
 
 }  // namespace
 
+std::int64_t parse_int(const std::string& what, const std::string& value) {
+  char* end = nullptr;
+  errno = 0;
+  const long long parsed = std::strtoll(value.c_str(), &end, 10);
+  if (!parsed_whole(value, end)) {
+    throw Error(what + " expects an integer, got `" + value + "`");
+  }
+  return parsed;
+}
+
 CliArgs::CliArgs(int argc, const char* const* argv)
     : program_(program_name(argc, argv)) {
   for (int i = 1; i < argc; ++i) {
@@ -49,6 +59,7 @@ CliArgs::CliArgs(int argc, const char* const* argv)
       given_.emplace_back(arg, "true");
     }
   }
+  help_ = has("help");
 }
 
 const std::string* CliArgs::find(const std::string& name) const {
@@ -72,12 +83,18 @@ void CliArgs::declare(const std::string& name, const char* type,
   declared_.push_back({name, std::move(usage), std::move(fallback), help});
 }
 
+std::string CliArgs::get_typed(const std::string& name, const char* type,
+                               const std::string& fallback,
+                               const std::string& help) {
+  declare(name, type, fallback.empty() ? "\"\"" : fallback, help);
+  const std::string* value = find(name);
+  return value == nullptr ? fallback : *value;
+}
+
 std::string CliArgs::get_string(const std::string& name,
                                 const std::string& fallback,
                                 const std::string& help) {
-  declare(name, "STR", fallback.empty() ? "\"\"" : fallback, help);
-  const std::string* value = find(name);
-  return value == nullptr ? fallback : *value;
+  return get_typed(name, "STR", fallback, help);
 }
 
 std::int64_t CliArgs::get_int(const std::string& name, std::int64_t fallback,
@@ -85,12 +102,9 @@ std::int64_t CliArgs::get_int(const std::string& name, std::int64_t fallback,
   declare(name, "INT", std::to_string(fallback), help);
   const std::string* value = find(name);
   if (value == nullptr) return fallback;
-  char* end = nullptr;
-  errno = 0;
-  const long long parsed = std::strtoll(value->c_str(), &end, 10);
-  MARLIN_CHECK(parsed_whole(*value, end),
-               "--" << name << " expects an integer, got `" << *value << "`");
-  return parsed;
+  return parse_or(
+      *value, [&](const std::string& v) { return parse_int("--" + name, v); },
+      [&] { return fallback; });
 }
 
 double CliArgs::get_double(const std::string& name, double fallback,
@@ -100,13 +114,16 @@ double CliArgs::get_double(const std::string& name, double fallback,
   declare(name, "NUM", shown.str(), help);
   const std::string* value = find(name);
   if (value == nullptr) return fallback;
-  char* end = nullptr;
-  errno = 0;
-  const double parsed = std::strtod(value->c_str(), &end);
-  MARLIN_CHECK(parsed_whole(*value, end) && std::isfinite(parsed),
-               "--" << name << " expects a finite number, got `" << *value
-                    << "`");
-  return parsed;
+  const auto parse = [&](const std::string& v) {
+    char* end = nullptr;
+    errno = 0;
+    const double parsed = std::strtod(v.c_str(), &end);
+    if (!parsed_whole(v, end) || !std::isfinite(parsed)) {
+      throw Error("--" + name + " expects a finite number, got `" + v + "`");
+    }
+    return parsed;
+  };
+  return parse_or(*value, parse, [&] { return fallback; });
 }
 
 bool CliArgs::get_bool(const std::string& name, bool fallback,
@@ -114,10 +131,13 @@ bool CliArgs::get_bool(const std::string& name, bool fallback,
   declare(name, "", fallback ? "true" : "false", help);
   const std::string* value = find(name);
   if (value == nullptr) return fallback;
-  if (*value == "true" || *value == "1" || *value == "yes") return true;
-  if (*value == "false" || *value == "0" || *value == "no") return false;
-  throw Error("--" + name + " expects true/false, 1/0 or yes/no, got `" +
-              *value + "`");
+  const auto parse = [&](const std::string& v) {
+    if (v == "true" || v == "1" || v == "yes") return true;
+    if (v == "false" || v == "0" || v == "no") return false;
+    throw Error("--" + name + " expects true/false, 1/0 or yes/no, got `" +
+                v + "`");
+  };
+  return parse_or(*value, parse, [&] { return fallback; });
 }
 
 std::string CliArgs::help(const std::string& summary) const {

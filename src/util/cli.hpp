@@ -10,13 +10,26 @@
 //
 // Accepted forms: `--name=value`, `--name value` and a bare `--flag`
 // (read as "true"); any other token is an error.
+//
+// `--help` wins over malformed values: while it is given, a getter whose
+// value does not parse returns its fallback instead of throwing, so
+// `finish()` can print the listing and exit 0.
 
 #include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "util/error.hpp"
+
 namespace marlin {
+
+/// `value` as a whole base-10 integer; throws `Error` "<what> expects an
+/// integer, got `<value>`" when it is empty, starts with a blank, carries
+/// trailing characters or is out of range. The one integer rule for
+/// flags and environment variables alike.
+[[nodiscard]] std::int64_t parse_int(const std::string& what,
+                                     const std::string& value);
 
 class CliArgs {
  public:
@@ -43,6 +56,19 @@ class CliArgs {
                                   const std::string& help);
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback,
                               const std::string& help);
+  /// `get_string` followed by `parse` (a `*_by_name` lookup or a range
+  /// check, say): an `Error` from `parse` is the value error of this
+  /// flag, so under `--help` the parsed fallback is returned instead.
+  /// `type` labels the value in the listing.
+  template <typename Parse>
+  [[nodiscard]] auto get_parsed(const std::string& name,
+                                const std::string& fallback,
+                                const std::string& help, Parse parse,
+                                const char* type = "STR")
+      -> decltype(parse(fallback)) {
+    const std::string value = get_typed(name, type, fallback, help);
+    return parse_or(value, parse, [&] { return parse(fallback); });
+  }
 
   /// "<program> — <summary>", then every declared flag in read order with
   /// its help and default, then `--help` itself.
@@ -62,14 +88,33 @@ class CliArgs {
     std::string help;
   };
 
+  /// Declares `name` with the value label `type` and returns its raw
+  /// value, or `fallback` when absent.
+  [[nodiscard]] std::string get_typed(const std::string& name,
+                                      const char* type,
+                                      const std::string& fallback,
+                                      const std::string& help);
   /// The flag's value (the last one given wins), or nullptr when absent.
   [[nodiscard]] const std::string* find(const std::string& name) const;
+  /// `parse(value)`; under `--help` an `Error` from it yields `fallback()`.
+  template <typename Parse, typename Fallback>
+  [[nodiscard]] auto parse_or(const std::string& value, Parse parse,
+                              Fallback fallback) const
+      -> decltype(parse(value)) {
+    if (!help_) return parse(value);
+    try {
+      return parse(value);
+    } catch (const Error&) {
+      return fallback();
+    }
+  }
   void declare(const std::string& name, const char* type,
                std::string fallback, const std::string& help);
 
   std::string program_;
   std::vector<std::pair<std::string, std::string>> given_;
   std::vector<Flag> declared_;
+  bool help_ = false;  // `--help` was given
   bool finished_ = false;
 };
 

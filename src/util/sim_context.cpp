@@ -32,10 +32,26 @@ void SimContext::parallel_for(
   pool()->parallel_for(begin, end, fn);
 }
 
-unsigned SimContext::resolve_threads(unsigned requested) noexcept {
+namespace {
+
+/// A thread count under the `--threads` rules: a whole number >= 0,
+/// 0 = auto. `what` names the flag or variable in the error.
+std::int64_t parse_thread_count(const std::string& what,
+                                const std::string& value) {
+  const std::int64_t n = parse_int(what, value);
+  if (n < 0) {
+    throw Error(what + " must be >= 0 (0 = auto), got `" + value + "`");
+  }
+  return n;
+}
+
+}  // namespace
+
+unsigned SimContext::resolve_threads(unsigned requested) {
   if (requested != 0) return requested;
-  if (const char* env = std::getenv("MARLIN_THREADS")) {
-    const long v = std::strtol(env, nullptr, 10);
+  const char* env = std::getenv("MARLIN_THREADS");
+  if (env != nullptr && *env != '\0') {
+    const std::int64_t v = parse_thread_count("MARLIN_THREADS", env);
     if (v > 0) return static_cast<unsigned>(v);
   }
   return std::max(1u, std::thread::hardware_concurrency());
@@ -47,20 +63,26 @@ const SimContext& SimContext::serial_context() {
 }
 
 SimContext make_sim_context(CliArgs& args) {
-  const std::int64_t threads = args.get_int(
-      "threads", 0,
+  const std::int64_t threads = args.get_parsed(
+      "threads", "0",
       "worker threads: 0 = MARLIN_THREADS env, then hardware concurrency; "
-      "1 = bit-identical serial mode");
-  MARLIN_CHECK(threads >= 0, "--threads must be >= 0 (0 = auto)");
-  const std::string simd = args.get_string(
+      "1 = bit-identical serial mode",
+      [](const std::string& v) { return parse_thread_count("--threads", v); },
+      "INT");
+  // Applies the level while parsing, so one lookup both validates the
+  // name and sets it (under --help a bad name leaves the level alone).
+  (void)args.get_parsed(
       "simd", "",
       "SIMD dispatch level: scalar | avx2 | avx512 | auto (empty = "
-      "MARLIN_SIMD env, then auto-detect; every level is bit-identical)");
-  if (simd == "auto") {
-    simd::reset_level();
-  } else if (!simd.empty()) {
-    simd::set_level(simd::level_by_name(simd));
-  }
+      "MARLIN_SIMD env, then auto-detect; every level is bit-identical)",
+      [](const std::string& name) {
+        if (name == "auto") {
+          simd::reset_level();
+        } else if (!name.empty()) {
+          simd::set_level(simd::level_by_name(name));
+        }
+        return name;
+      });
   return SimContext(static_cast<unsigned>(threads));
 }
 

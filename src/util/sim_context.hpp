@@ -33,8 +33,9 @@ class CliArgs;
 
 class SimContext {
  public:
-  /// n_threads == 0 resolves via MARLIN_THREADS, then hardware concurrency;
-  /// n_threads == 1 forces serial mode (no pool, inline execution).
+  /// n_threads == 0 resolves via MARLIN_THREADS, then hardware concurrency
+  /// (see resolve_threads); n_threads == 1 forces serial mode (no pool,
+  /// inline execution).
   explicit SimContext(unsigned n_threads = 0);
 
   SimContext(const SimContext&) = delete;
@@ -61,8 +62,10 @@ class SimContext {
                     const std::function<void(std::int64_t)>& fn) const;
 
   /// The thread-count policy: `requested` if nonzero, else MARLIN_THREADS,
-  /// else hardware concurrency (at least 1).
-  [[nodiscard]] static unsigned resolve_threads(unsigned requested) noexcept;
+  /// else hardware concurrency (at least 1). MARLIN_THREADS follows the
+  /// `--threads` rules (unset, empty or 0 = auto); any other value that
+  /// is not a whole number >= 0 throws `Error`.
+  [[nodiscard]] static unsigned resolve_threads(unsigned requested);
 
   /// Process-wide serial context — the default for kernel entry points so
   /// existing call sites keep their exact behaviour.

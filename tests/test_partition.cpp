@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "core/partition.hpp"
@@ -55,15 +56,21 @@ TEST_P(StripedProperties, SegmentsAreBottomToTopAndDisjoint) {
   }
 }
 
-TEST_P(StripedProperties, StatsMatchMaterializedPartition) {
-  const auto [rows, cols, sms, mb] = GetParam();
-  const auto part = striped_partition(rows, cols, sms, mb);
-  const auto stats = striped_partition_stats(rows, cols, sms, mb);
+/// The closed-form stats must equal what the materialised partition
+/// measures on `g`.
+void expect_stats_match(const GridCase& g) {
+  const auto part = striped_partition(g.rows, g.cols, g.sms, g.m_blocks);
+  const auto stats =
+      striped_partition_stats(g.rows, g.cols, g.sms, g.m_blocks);
   EXPECT_EQ(stats.total_tiles, part.total_tiles());
   EXPECT_EQ(stats.max_stripe, part.max_stripe_len());
   EXPECT_EQ(stats.min_stripe, part.min_stripe_len());
   EXPECT_EQ(stats.reduction_steps, part.reduction_steps());
   EXPECT_EQ(stats.max_column_depth, part.max_column_depth());
+}
+
+TEST_P(StripedProperties, StatsMatchMaterializedPartition) {
+  expect_stats_match(GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -73,6 +80,49 @@ INSTANTIATE_TEST_SUITE_P(
                       GridCase{16, 2, 108, 1}, GridCase{32, 9, 72, 2},
                       GridCase{5, 1, 4, 4}, GridCase{1, 1, 72, 1},
                       GridCase{288, 288, 72, 2}));
+
+TEST(Striped, StatsMatchMaterializedPartitionOnGeneratedSweep) {
+  // Every grid of a small generated sweep, which must reach the cases the
+  // run-length column depth has to get right: fewer tiles than SMs,
+  // stripe boundaries on column starts, columns split 3+ times and the
+  // virtually replicated grid.
+  index_t grids = 0, idle_sms = 0, on_column_start = 0, split3 = 0,
+          replicated = 0;
+  for (const index_t rows : {1, 2, 3, 5, 7, 8, 12, 16}) {
+    for (const index_t cols : {1, 2, 3, 5}) {
+      for (const int sms : {1, 2, 3, 4, 6, 7, 16, 27, 72}) {
+        for (const index_t mb : {1, 2, 4}) {
+          const GridCase g{rows, cols, sms, mb};
+          SCOPED_TRACE(testing::Message() << rows << "x" << cols << " on "
+                                          << sms << " SMs, " << mb
+                                          << " m-blocks");
+          expect_stats_match(g);
+          const index_t total = rows * cols * mb;
+          const index_t base = total / sms;
+          const index_t rem = total % sms;
+          for (index_t sm = 1; sm < sms; ++sm) {
+            const index_t b = sm * base + std::min(sm, rem);
+            if (b >= total) break;
+            if (b % rows == 0) {
+              ++on_column_start;
+              break;
+            }
+          }
+          ++grids;
+          idle_sms += base == 0 ? 1 : 0;
+          split3 +=
+              striped_partition(rows, cols, sms, mb).max_column_depth() >= 4;
+          replicated += mb > 1 ? 1 : 0;
+        }
+      }
+    }
+  }
+  EXPECT_GE(grids, 500);
+  EXPECT_GT(idle_sms, 0);
+  EXPECT_GT(on_column_start, 0);
+  EXPECT_GT(split3, 0);
+  EXPECT_GT(replicated, 0);
+}
 
 TEST(Striped, StripesSpanColumnsLikeFigure5) {
   // 7 tiles rows x 4 cols on 7 SMs (the paper's Figure 5 geometry): the

@@ -90,11 +90,39 @@ TEST(SimContextPolicy, EnvironmentVariableIsHonoured) {
             std::max(1u, std::thread::hardware_concurrency()));
 }
 
+TEST(SimContextPolicy, EnvironmentVariableFollowsTheThreadsRules) {
+  // Garbage and negative values are errors, not a silent fallback to
+  // hardware concurrency; empty and 0 mean auto, like --threads 0.
+  for (const char* bad : {"abc", "-2", "4x", " 4"}) {
+    ASSERT_EQ(setenv("MARLIN_THREADS", bad, 1), 0);
+    EXPECT_THROW((void)SimContext::resolve_threads(0), Error) << bad;
+    EXPECT_EQ(SimContext::resolve_threads(3), 3u) << bad;
+  }
+  const unsigned automatic = std::max(1u, std::thread::hardware_concurrency());
+  for (const char* auto_value : {"", "0"}) {
+    ASSERT_EQ(setenv("MARLIN_THREADS", auto_value, 1), 0);
+    EXPECT_EQ(SimContext::resolve_threads(0), automatic) << auto_value;
+  }
+  ASSERT_EQ(unsetenv("MARLIN_THREADS"), 0);
+}
+
 TEST(SimContextPolicy, CliThreadsFlag) {
   const char* argv[] = {"prog", "--threads", "2"};
   CliArgs args(3, argv);
   const SimContext ctx = make_sim_context(args);
   EXPECT_EQ(ctx.num_threads(), 2u);
+}
+
+TEST(SimContextPolicy, NegativeThreadsIsAValueErrorThatHelpOverrides) {
+  const char* bad[] = {"prog", "--threads", "-1"};
+  CliArgs strict(3, bad);
+  EXPECT_THROW((void)make_sim_context(strict), Error);
+  // Under --help the range check falls back to the default like any
+  // other value error, so finish() can still print the listing.
+  const char* help[] = {"prog", "--help", "--threads", "-1"};
+  CliArgs args(4, help);
+  const SimContext ctx = make_sim_context(args);
+  EXPECT_EQ(ctx.num_threads(), SimContext::resolve_threads(0));
 }
 
 TEST(SimContextPolicy, PoolIsLazyAndShared) {

@@ -654,6 +654,55 @@ TEST(HotPath, SteadyStateDecodeTickDoesNotAllocate) {
     sched.step(s, requests);
   }
   EXPECT_EQ(s.bm.used_blocks(), 0);
+
+  // WFQ without quotas (the benchmark's tenant traffic): tenant 1 fills
+  // the cache, so tenant 0's admission is blocked. Every tick then
+  // re-sorts the queue by WFQ key and asks the reclaim planner, which
+  // returns at once since no tenant can be over quota — all without
+  // allocating.
+  scfg.policy = serve::sched::SchedPolicy::kWeightedFair;
+  scfg.max_batch = 8;
+  scfg.blocks.num_blocks = 64;
+  serve::sched::TenantSpec first;
+  first.id = 0;
+  serve::sched::TenantSpec second;
+  second.id = 1;
+  second.weight = 4.0;
+  scfg.tenants = {first, second};
+  const serve::sched::Scheduler wfq(engine, scfg);
+  std::vector<serve::sched::Request> mixed;
+  for (index_t i = 0; i < 4; ++i) {
+    mixed.emplace_back(i, 0.0, 240, 12, /*tenant_id=*/1);  // 15 blocks each
+  }
+  mixed.emplace_back(4, 0.0, 96, 12, /*tenant_id=*/0);  // needs 6 blocks
+  serve::sched::ReplicaState w = wfq.make_replica_state();
+  wfq.register_tenants(w, mixed);
+  for (std::size_t i = 0; i < mixed.size(); ++i) w.queue.push_back(i);
+  while (w.counters.decode_steps < 2) {
+    ASSERT_TRUE(w.busy());
+    wfq.admit(w, mixed);
+    wfq.step(w, mixed);
+  }
+  ASSERT_EQ(w.running.size(), 4u);
+  ASSERT_EQ(w.queue.size(), 1u);
+
+  const std::uint64_t wfq_before = alloc_count();
+  for (int tick = 0; tick < 5; ++tick) {
+    wfq.admit(w, mixed);  // blocked: sort, reclaim bound, no admission
+    wfq.step(w, mixed);
+  }
+  const std::uint64_t wfq_allocs = alloc_count() - wfq_before;
+  EXPECT_EQ(wfq_allocs, 0u) << wfq_allocs
+                            << " heap allocations across 5 WFQ decode ticks "
+                               "with a blocked admission";
+  EXPECT_EQ(w.queue.size(), 1u);  // still blocked
+  EXPECT_EQ(w.counters.preemptions, 0);
+  while (w.busy()) {
+    wfq.admit(w, mixed);
+    wfq.step(w, mixed);
+  }
+  EXPECT_EQ(w.bm.used_blocks(), 0);
+  EXPECT_GT(mixed[4].first_token_s, mixed[0].finish_s);
 }
 
 }  // namespace

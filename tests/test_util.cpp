@@ -238,6 +238,35 @@ TEST(Cli, UnreadFlagIsAnErrorNamingItWithASuggestion) {
   EXPECT_THROW((void)args.get_int("late", 0, ""), Error);
 }
 
+TEST(Cli, HelpWinsOverMalformedValues) {
+  // Under --help every getter falls back instead of throwing, so
+  // finish() can still list the flags.
+  const char* argv[] = {"prog", "--help", "--n=x", "--qps=y", "--on=maybe",
+                        "--policy=bogus"};
+  CliArgs args(6, argv);
+  EXPECT_EQ(args.get_int("n", 3, ""), 3);
+  EXPECT_EQ(args.get_double("qps", 1.5, ""), 1.5);
+  EXPECT_TRUE(args.get_bool("on", true, ""));
+  const auto policy = [](const std::string& name) {
+    return find_name("policy", name, {"fcfs", "wfq"});
+  };
+  EXPECT_EQ(args.get_parsed("policy", "wfq", "", policy), 1u);
+  // Without --help the same values are errors naming flag and value.
+  const char* bad[] = {"prog", "--policy=bogus"};
+  CliArgs strict(2, bad);
+  const std::string what = error_message(
+      [&] { (void)strict.get_parsed("policy", "wfq", "", policy); });
+  EXPECT_NE(what.find("unknown policy `bogus`"), std::string::npos) << what;
+}
+
+TEST(Cli, ParseIntIsTheOneIntegerRule) {
+  EXPECT_EQ(parse_int("X", "-7"), -7);
+  for (const char* bad : {"", " 3", "3x", "abc", "99999999999999999999"}) {
+    const std::string what = error_message([&] { (void)parse_int("X", bad); });
+    EXPECT_EQ(what, std::string("X expects an integer, got `") + bad + "`");
+  }
+}
+
 TEST(Cli, HasIsAPureQueryThatDeclaresNothing) {
   const char* argv[] = {"prog", "--gpus", "2"};
   CliArgs args(3, argv);
