@@ -120,16 +120,25 @@ PartitionStats striped_partition_stats(index_t tile_rows, index_t tile_cols,
   // segment; a column with S segments needs S-1 serial reduction steps.
   // Boundaries rise strictly with `sm`, so the splits of one column are
   // consecutive: its depth is 1 + the length of that run of equal split
-  // columns.
+  // columns. Boundary b = col * tile_rows + row advances by base (+1 for
+  // the first `rem` SMs), so col and row are carried without dividing.
+  const index_t step_col = base / tile_rows;
+  const index_t step_row = base % tile_rows;
+  index_t b = 0, col = 0, row = 0;
   index_t run_col = -1;
   index_t run_len = 0;
   for (int sm = 1; sm < num_sms; ++sm) {
-    const index_t b =
-        static_cast<index_t>(sm) * base + std::min<index_t>(sm, rem);
+    const index_t extra = sm <= rem ? 1 : 0;
+    b += base + extra;
     if (b >= st.total_tiles) break;
-    if (b % tile_rows != 0) {
+    col += step_col;
+    row += step_row + extra;
+    if (row >= tile_rows) {
+      row -= tile_rows;
+      ++col;
+    }
+    if (row != 0) {
       ++st.reduction_steps;
-      const index_t col = b / tile_rows;
       run_len = col == run_col ? run_len + 1 : 1;
       run_col = col;
       st.max_column_depth = std::max(st.max_column_depth, run_len + 1);

@@ -3,7 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cmath>
+#include <cstring>
+#include <utility>
+#include <vector>
 
 #include "gpusim/clock.hpp"
 #include "gpusim/device.hpp"
@@ -13,6 +18,7 @@
 #include "gpusim/smem_bank.hpp"
 #include "gpusim/warp_exec.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace marlin::gpusim {
 namespace {
@@ -155,6 +161,114 @@ TEST(Pipeline, EmptyAndSingleTile) {
   p.load_latency_s = 5e-7;
   p.tile_compute_s = 2e-6;
   EXPECT_NEAR(simulate_pipeline(p).total_s, 3.5e-6, 1e-9);
+}
+
+/// The tile-by-tile loop simulate_pipeline skips periods of: every skip
+/// must land on exactly the bits this loop computes.
+double reference_pipeline_total(const PipelineParams& p) {
+  const int n = p.num_tiles;
+  std::vector<double> compute_done(static_cast<std::size_t>(n), 0.0);
+  double mem_free = 0.0;
+  double compute_free = 0.0;
+  for (int i = 0; i < n; ++i) {
+    const double slot_free =
+        (i >= p.depth) ? compute_done[static_cast<std::size_t>(i - p.depth)]
+                       : 0.0;
+    const double load_start = std::max(mem_free, slot_free);
+    mem_free = load_start + p.tile_load_s;
+    const double data_ready = mem_free + p.load_latency_s;
+    const double compute_start = std::max(data_ready, compute_free);
+    compute_free = compute_start + p.tile_compute_s;
+    compute_done[static_cast<std::size_t>(i)] = compute_free;
+  }
+  return compute_free;
+}
+
+TEST(Pipeline, FastForwardMatchesReferenceLoopBitForBit) {
+  int cases = 0, mismatches = 0;
+  const auto check = [&](const PipelineParams& p) {
+    ++cases;
+    const double got = simulate_pipeline(p).total_s;
+    const double want = reference_pipeline_total(p);
+    if (std::memcmp(&got, &want, sizeof got) != 0 && ++mismatches <= 5) {
+      ADD_FAILURE() << std::hexfloat << "P=" << p.depth
+                    << " tiles=" << p.num_tiles << " load=" << p.tile_load_s
+                    << " latency=" << p.load_latency_s
+                    << " compute=" << p.tile_compute_s << ": got " << got
+                    << ", want " << want;
+    }
+  };
+
+  // Seeded random sweep over the ranges KernelModel produces and beyond:
+  // depth 1-40 crosses the 32-deep limit of the skip.
+  Rng rng(17);
+  const auto log_uniform = [&](double lo, double hi) {
+    return lo * std::pow(hi / lo, rng.uniform());
+  };
+  for (int k = 0; k < 2000; ++k) {
+    PipelineParams p;
+    p.depth = 1 + static_cast<int>(rng.uniform_int(40));
+    p.num_tiles = static_cast<int>(log_uniform(1, 300000));
+    p.tile_load_s = log_uniform(1e-9, 1e-5);
+    p.load_latency_s = rng.uniform_int(4) == 0 ? 0.0 : log_uniform(1e-9, 1e-5);
+    p.tile_compute_s = rng.uniform_int(8) == 0 ? p.tile_load_s
+                                               : log_uniform(1e-9, 1e-5);
+    check(p);
+  }
+
+  // Rounding ties: with load == compute the memory and compute paths race
+  // to the same grid point, and a latency half an ulp off the grid of
+  // binade [2^e, 2^(e+1)) rounds to even there, so a shift by an odd
+  // number of ulps would round it the other way.
+  for (int e = -6; e <= -1; ++e) {
+    for (int depth = 1; depth <= 8; ++depth) {
+      for (int a = 4; a <= 7; ++a) {
+        for (int s = -12; s <= -11; ++s) {
+          PipelineParams p;
+          p.depth = depth;
+          p.num_tiles = 4096;
+          p.tile_load_s = std::ldexp(1.0, e + s);
+          p.tile_compute_s = p.tile_load_s;
+          p.load_latency_s = std::ldexp(a, e - 12) + std::ldexp(1.0, e - 53);
+          check(p);
+        }
+      }
+    }
+  }
+
+  // Zero, dyadic and equal constants at every depth around the ring sizes.
+  for (int depth = 1; depth <= 40; ++depth) {
+    for (const int n : {0, 1, 2, 3, 63, 64, 65, 1000, 1 << 16}) {
+      PipelineParams p;
+      p.depth = depth;
+      p.num_tiles = n;
+      check(p);  // all constants zero: a fixed point from the first tile
+      p.load_latency_s = 1e-6;
+      check(p);
+      p.tile_load_s = 0.25;
+      p.load_latency_s = 0.5;
+      p.tile_compute_s = 0.25;
+      check(p);
+      p.tile_load_s = 1e-6;
+      p.load_latency_s = 0.0;
+      p.tile_compute_s = 1e-6;
+      check(p);
+    }
+  }
+
+  // The KernelModel cap of 2^22 tiles, compute- and memory-bound.
+  for (const int depth : {1, 4, 32, 33}) {
+    PipelineParams p;
+    p.depth = depth;
+    p.num_tiles = 1 << 22;
+    p.tile_load_s = 3e-9;
+    p.load_latency_s = 5e-7;
+    p.tile_compute_s = 2.9e-9;
+    check(p);
+    std::swap(p.tile_load_s, p.tile_compute_s);
+    check(p);
+  }
+  EXPECT_EQ(mismatches, 0) << "of " << cases << " cases";
 }
 
 TEST(SmemBank, ConflictFreeBroadcastAndStride) {
