@@ -19,15 +19,16 @@ static int run(marlin::CliArgs& args) {
   // --seed reproduces the identical Poisson trace; --policy swaps the
   // scheduler's admission order (defaults are the goldens configuration).
   serve::ServingConfig base;
-  base.duration_s = 120.0;
-  base.seed = bench::read_seed(args);
-  base.policy = bench::read_policy(args);
-  base.prefix_cache = bench::read_prefix_cache(args);
+  base.workload.duration_s = 120.0;
+  base.workload.seed = bench::read_seed(args);
+  base.scheduler.policy = bench::read_policy(args);
+  base.scheduler.blocks.prefix_cache = bench::read_prefix_cache(args);
   const bench::Observation observation(args);
   bench::BenchJsonReporter json(args, ctx, "bench_fig15_tpot");
   args.finish(
       "Figure 15 - serving TPOT (time per output token), Llama-2-7B on RTX "
       "A6000");
+  base.validate(serve::llama2_7b());
   std::cout << "=== Figure 15: Llama-2-7B TPOT on RTX A6000 "
                "(64 in / 64 out) ===\n\n";
 
@@ -67,7 +68,7 @@ static int run(marlin::CliArgs& args) {
   const bench::SweepTimer timer(ctx, "fig15 serving sweep");
   const auto cells = bench::run_sweep(ctx, points, [&](const Point& pt) {
     serve::ServingConfig sc = base;
-    sc.qps = pt.qps;
+    sc.workload.qps = pt.qps;
     const auto m = serve::simulate(*engines[pt.engine], sc).sched.metrics;
     return Cell{m.mean_tpot_ms, m.mean_batch};
   });
@@ -105,7 +106,7 @@ static int run(marlin::CliArgs& args) {
   // `--trace-out` / `--metrics-out`: record the MARLIN engine at the
   // highest-load point of the sweep in one serial re-run.
   serve::ServingConfig sc = base;
-  sc.qps = qps_values.back();
+  sc.workload.qps = qps_values.back();
   observation.maybe_write(*engines[1], sc);
   return 0;
 }

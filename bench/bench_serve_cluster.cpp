@@ -27,12 +27,12 @@ static int run(marlin::CliArgs& args) {
   namespace cluster = serve::cluster;
   const SimContext ctx = make_sim_context(args);
   serve::ServingConfig base;
-  base.qps = args.get_double("qps", 24.0, "mean arrival rate");
-  base.duration_s =
+  base.workload.qps = args.get_double("qps", 24.0, "mean arrival rate");
+  base.workload.duration_s =
       args.get_double("duration", 40.0, "arrival window seconds");
-  base.seed = bench::read_seed(args);
-  base.policy = bench::read_policy(args);
-  base.prefix_cache = bench::read_prefix_cache(args);
+  base.workload.seed = bench::read_seed(args);
+  base.scheduler.policy = bench::read_policy(args);
+  base.scheduler.blocks.prefix_cache = bench::read_prefix_cache(args);
   const double ttft_slo = args.get_double(
       "ttft-slo", 250.0, "TTFT shed deadline ms for the SLO axis");
   const double tpot_slo = args.get_double(
@@ -48,6 +48,8 @@ static int run(marlin::CliArgs& args) {
   ecfg.gpu = gpusim::rtxa6000();
   ecfg.format = serve::WeightFormat::kMarlin;
   const serve::Engine engine(ecfg);
+  base.validate(ecfg.model);
+  sched::SloConfig{ttft_slo, tpot_slo}.validate();  // the SLO axis
 
   // Four equal tenants: the session-affinity hash needs distinct sessions
   // to spread, and every placement sees the identical arrival trace
@@ -56,9 +58,10 @@ static int run(marlin::CliArgs& args) {
     sched::TenantSpec spec;
     spec.id = t;
     spec.name = "tenant" + std::to_string(t);
-    base.tenants.push_back(spec);
+    base.scheduler.tenants.push_back(spec);
   }
-  base.kv_blocks = 192;  // per replica: tight enough to queue at 24 QPS
+  // Per replica: tight enough to queue at 24 QPS.
+  base.scheduler.blocks.num_blocks = 192;
 
   const std::vector<index_t> replica_counts{1, 2, 4};
   const std::vector<cluster::Placement> placements{
@@ -68,7 +71,7 @@ static int run(marlin::CliArgs& args) {
 
   std::cout << "=== Cluster serving sweep: " << ecfg.model.name << " ("
             << serve::to_string(ecfg.format) << ") on " << ecfg.gpu.name
-            << ", " << base.qps << " QPS, " << base.duration_s
+            << ", " << base.workload.qps << " QPS, " << base.workload.duration_s
             << " s, 4 tenants ===\n"
             << "SLO axis: TTFT shed deadline " << ttft_slo
             << " ms, TPOT deadline " << tpot_slo
@@ -100,7 +103,7 @@ static int run(marlin::CliArgs& args) {
     serve::ServingConfig sc = base;
     sc.cluster.placement = placements[pt.placement];
     if (pt.autoscaled) {
-      sc.shape = sched::WorkloadShape::kBursty;
+      sc.workload.shape = sched::WorkloadShape::kBursty;
       sc.cluster.replicas = 1;
       sc.cluster.autoscaler.enabled = true;
       sc.cluster.autoscaler.min_replicas = 1;
@@ -111,8 +114,8 @@ static int run(marlin::CliArgs& args) {
     } else {
       sc.cluster.replicas = replica_counts[pt.replicas];
       if (slo_axis[pt.slo]) {
-        sc.slo.ttft_deadline_ms = ttft_slo;
-        sc.slo.tpot_deadline_ms = tpot_slo;
+        sc.scheduler.slo.ttft_deadline_ms = ttft_slo;
+        sc.scheduler.slo.tpot_deadline_ms = tpot_slo;
       }
     }
     return serve::simulate(engine, sc);
@@ -173,7 +176,7 @@ static int run(marlin::CliArgs& args) {
   {
     serve::ServingConfig sc = base;
     sc.cluster.placement = cluster::Placement::kLeastLoaded;
-    sc.shape = sched::WorkloadShape::kBursty;
+    sc.workload.shape = sched::WorkloadShape::kBursty;
     sc.cluster.replicas = 1;
     sc.cluster.autoscaler.enabled = true;
     sc.cluster.autoscaler.min_replicas = 1;
@@ -181,8 +184,8 @@ static int run(marlin::CliArgs& args) {
     sc.cluster.autoscaler.interval_s = 2.0;
     sc.cluster.autoscaler.scale_up_queue_per_replica = 4.0;
     sc.cluster.autoscaler.scale_down_queue_per_replica = 0.5;
-    sc.slo.ttft_deadline_ms = ttft_slo;
-    sc.slo.tpot_deadline_ms = tpot_slo;
+    sc.scheduler.slo.ttft_deadline_ms = ttft_slo;
+    sc.scheduler.slo.tpot_deadline_ms = tpot_slo;
     observation.maybe_write(engine, sc);
   }
   return 0;

@@ -29,17 +29,18 @@ static int run(marlin::CliArgs& args) {
   namespace sched = serve::sched;
   const SimContext ctx = make_sim_context(args);
   serve::ServingConfig base;
-  base.qps = args.get_double("qps", 10.0, "mean arrival rate");
-  base.duration_s =
+  base.workload.qps = args.get_double("qps", 10.0, "mean arrival rate");
+  base.workload.duration_s =
       args.get_double("duration", 30.0, "arrival window seconds");
-  base.seed = bench::read_seed(args);
-  base.policy = bench::read_policy(args);
-  base.shape = bench::read_workload(args);
-  base.prefix_cache = bench::read_prefix_cache(args);
-  base.input_tokens =
+  base.workload.seed = bench::read_seed(args);
+  base.scheduler.policy = bench::read_policy(args);
+  base.workload.shape = bench::read_workload(args);
+  base.scheduler.blocks.prefix_cache = bench::read_prefix_cache(args);
+  base.workload.input_tokens =
       args.get_int("input", 256, "prompt tokens (prefill-heavy)");
-  base.output_tokens = args.get_int("output", 64, "output tokens per request");
-  base.kv_blocks = 256;  // per replica
+  base.workload.output_tokens =
+      args.get_int("output", 64, "output tokens per request");
+  base.scheduler.blocks.num_blocks = 256;  // per replica
   const bench::Observation observation(args);
   bench::BenchJsonReporter json(args, ctx, "bench_serve_disagg");
   args.finish(
@@ -52,11 +53,14 @@ static int run(marlin::CliArgs& args) {
   ecfg.gpu = gpusim::rtxa6000();
   ecfg.format = serve::WeightFormat::kMarlin;
   const serve::Engine engine(ecfg);
+  base.validate(ecfg.model);
 
   std::cout << "=== Disaggregated serving: " << ecfg.model.name << " ("
             << serve::to_string(ecfg.format) << ") on " << ecfg.gpu.name
-            << ", " << base.qps << " QPS, " << base.duration_s << " s, "
-            << base.input_tokens << " in / " << base.output_tokens
+            << ", " << base.workload.qps << " QPS, "
+            << base.workload.duration_s << " s, "
+            << base.workload.input_tokens << " in / "
+            << base.workload.output_tokens
             << " out ===\n"
             << "Two GPUs per config: unified fleet of 2 vs 1 prefill + 1 "
                "decode pool; per-replica KV budget 256 blocks of 16 "
@@ -83,7 +87,7 @@ static int run(marlin::CliArgs& args) {
   const bench::SweepTimer timer(ctx, "disaggregated serving sweep");
   const auto cells = bench::run_sweep(ctx, points, [&](const Point& pt) {
     serve::ServingConfig sc = base;
-    sc.prefill_chunk_tokens = pt.chunk;
+    sc.scheduler.prefill_chunk_tokens = pt.chunk;
     if (pt.disagg) {
       sc.cluster.disagg.enabled = true;
       sc.cluster.disagg.prefill_replicas = 1;

@@ -34,16 +34,16 @@ static int run(marlin::CliArgs& args) {
   const SimContext ctx = make_sim_context(args);
   // No --policy here: the sweep runs fcfs AND wfq itself.
   serve::ServingConfig base;
-  base.qps = args.get_double("qps", 20.0, "mean arrival rate");
-  base.duration_s =
+  base.workload.qps = args.get_double("qps", 20.0, "mean arrival rate");
+  base.workload.duration_s =
       args.get_double("duration", 40.0, "arrival window seconds");
-  base.seed = bench::read_seed(args);
-  base.prefix_cache = bench::read_prefix_cache(args);
-  base.kv_blocks =
+  base.workload.seed = bench::read_seed(args);
+  base.scheduler.blocks.prefix_cache = bench::read_prefix_cache(args);
+  base.scheduler.blocks.num_blocks =
       args.get_int("kv-blocks", 96, "KV budget in blocks of 16 tokens");
   const index_t spec_depth =
       args.get_int("spec-depth", 4, "draft tokens per speculative round");
-  base.speculation.acceptance =
+  base.scheduler.speculation.acceptance =
       args.get_double("spec-accept", 0.8, "per-token draft acceptance");
   const bench::Observation observation(args);
   bench::BenchJsonReporter json(args, ctx, "bench_serve_multitenant");
@@ -56,6 +56,7 @@ static int run(marlin::CliArgs& args) {
   ecfg.gpu = gpusim::rtxa6000();
   ecfg.format = serve::WeightFormat::kMarlin;
   const serve::Engine engine(ecfg);
+  base.validate(ecfg.model);
 
   struct Mix {
     std::string label;
@@ -77,10 +78,12 @@ static int run(marlin::CliArgs& args) {
 
   std::cout << "=== Multi-tenant serving sweep: " << ecfg.model.name << " ("
             << serve::to_string(ecfg.format) << ") on " << ecfg.gpu.name
-            << ", " << base.qps << " QPS, " << base.duration_s << " s, "
-            << base.kv_blocks << " KV blocks ===\n"
+            << ", " << base.workload.qps << " QPS, "
+            << base.workload.duration_s << " s, "
+            << base.scheduler.blocks.num_blocks << " KV blocks ===\n"
             << "Speculation: TinyLlama-1.1B draft, depth " << spec_depth
-            << ", acceptance " << format_double(base.speculation.acceptance, 2)
+            << ", acceptance "
+            << format_double(base.scheduler.speculation.acceptance, 2)
             << "\n\n";
 
   engine.warm_decode_cache(ctx, 128, 256.0);
@@ -101,9 +104,9 @@ static int run(marlin::CliArgs& args) {
   const bench::SweepTimer timer(ctx, "multi-tenant serving sweep");
   const auto cells = bench::run_sweep(ctx, points, [&](const Point& pt) {
     serve::ServingConfig sc = base;
-    sc.policy = policies[pt.policy];
-    sc.tenants = mixes[pt.mix].tenants;
-    sc.speculation.depth = spec_depths[pt.spec];
+    sc.scheduler.policy = policies[pt.policy];
+    sc.scheduler.tenants = mixes[pt.mix].tenants;
+    sc.scheduler.speculation.depth = spec_depths[pt.spec];
     return serve::simulate(engine, sc).sched;
   });
 
@@ -178,9 +181,9 @@ static int run(marlin::CliArgs& args) {
   // speculation on (per-tenant service + spec-round events) in one serial
   // re-run.
   serve::ServingConfig sc = base;
-  sc.policy = sched::SchedPolicy::kWeightedFair;
-  sc.tenants = mixes[0].tenants;
-  sc.speculation.depth = spec_depth;
+  sc.scheduler.policy = sched::SchedPolicy::kWeightedFair;
+  sc.scheduler.tenants = mixes[0].tenants;
+  sc.scheduler.speculation.depth = spec_depth;
   observation.maybe_write(engine, sc);
   return 0;
 }

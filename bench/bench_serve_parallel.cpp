@@ -27,11 +27,11 @@ static int run(marlin::CliArgs& args) {
   namespace par = serve::parallel;
   const SimContext ctx = make_sim_context(args);
   serve::ServingConfig base;
-  base.qps = args.get_double("qps", 10.0, "mean arrival rate");
-  base.duration_s =
+  base.workload.qps = args.get_double("qps", 10.0, "mean arrival rate");
+  base.workload.duration_s =
       args.get_double("duration", 40.0, "arrival window seconds");
-  base.seed = bench::read_seed(args);
-  base.prefix_cache = bench::read_prefix_cache(args);
+  base.workload.seed = bench::read_seed(args);
+  base.scheduler.blocks.prefix_cache = bench::read_prefix_cache(args);
   // The sweep runs fcfs and sjf itself; --policy picks the traced run's.
   const sched::SchedPolicy traced_policy = bench::read_policy(args);
   const bench::Observation observation(args);
@@ -45,6 +45,7 @@ static int run(marlin::CliArgs& args) {
   ecfg.gpu = gpusim::a100_80g();
   ecfg.format = serve::WeightFormat::kMarlin;
   const serve::Engine engine(ecfg);
+  base.validate(ecfg.model);
 
   const std::vector<par::ParallelConfig> grids{
       {1, 1, 0}, {2, 1, 0}, {4, 1, 0}, {1, 2, 0},
@@ -57,17 +58,19 @@ static int run(marlin::CliArgs& args) {
 
   std::cout << "=== Parallel serving sweep: " << ecfg.model.name << " ("
             << serve::to_string(ecfg.format) << ") on " << ecfg.gpu.name
-            << " over " << ecfg.gpu.interconnect_name << ", " << base.qps
-            << " QPS, " << base.duration_s << " s ===\n\n";
+            << " over " << ecfg.gpu.interconnect_name << ", "
+            << base.workload.qps
+            << " QPS, " << base.workload.duration_s << " s ===\n\n";
 
   // Per-config world summary: rank grid, heaviest weight shard, binding
   // per-rank KV budget (blocks of 16 tokens; min over the rank grid).
   const index_t block_size = 16;
-  base.kv_blocks = -1;  // HBM-derived per-rank budget (min rank binds)
-  base.kv_block_size = block_size;
+  // HBM-derived per-rank budget (the minimum rank binds).
+  base.scheduler.blocks.num_blocks = -1;
+  base.scheduler.blocks.block_size = block_size;
   // A tight batch cap keeps the admission queue non-empty under the
   // 10 QPS overload, so the policy axis actually reorders requests.
-  base.max_batch = 32;
+  base.scheduler.max_batch = 32;
   Table world({"config", "ranks", "weights/rank", "KV blocks/rank",
                "KV tokens"});
   // deque: ParallelEngine owns a mutex and is immovable.
@@ -117,8 +120,8 @@ static int run(marlin::CliArgs& args) {
   const bench::SweepTimer timer(ctx, "parallel serving sweep");
   const auto cells = bench::run_sweep(ctx, points, [&](const Point& pt) {
     serve::ServingConfig sc = base;
-    sc.shape = shapes[pt.shape];
-    sc.policy = policies[pt.policy];
+    sc.workload.shape = shapes[pt.shape];
+    sc.scheduler.policy = policies[pt.policy];
     sc.parallel = grids[pt.grid];
     return serve::simulate(engine, sc).sched;
   });
@@ -154,7 +157,7 @@ static int run(marlin::CliArgs& args) {
   // sharding, so the trace carries decode_split compute/comm/bubble
   // counter tracks) in one serial re-run.
   serve::ServingConfig sc = base;
-  sc.policy = traced_policy;
+  sc.scheduler.policy = traced_policy;
   sc.parallel = {2, 2, 0};
   observation.maybe_write(engine, sc);
   return 0;

@@ -33,11 +33,12 @@ static int run(marlin::CliArgs& args) {
   const SimContext ctx = make_sim_context(args);
   // The sweep runs fcfs and wfq, cache off and on, itself.
   serve::ServingConfig base;
-  base.qps = args.get_double("qps", 16.0, "mean arrival rate");
-  base.duration_s =
+  base.workload.qps = args.get_double("qps", 16.0, "mean arrival rate");
+  base.workload.duration_s =
       args.get_double("duration", 40.0, "arrival window seconds");
-  base.seed = bench::read_seed(args);
-  base.prefix_cache.max_cached_blocks = bench::read_prefix_cache_blocks(args);
+  base.workload.seed = bench::read_seed(args);
+  base.scheduler.blocks.prefix_cache.max_cached_blocks =
+      bench::read_prefix_cache_blocks(args);
   const bench::Observation observation(args);
   bench::BenchJsonReporter json(args, ctx, "bench_serve_prefixcache");
   args.finish(
@@ -49,15 +50,16 @@ static int run(marlin::CliArgs& args) {
   ecfg.gpu = gpusim::rtxa6000();
   ecfg.format = serve::WeightFormat::kMarlin;
   const serve::Engine engine(ecfg);
+  base.validate(ecfg.model);
 
   // Weight-4 "prod" vs weight-1 "batch" tenant, equal traffic: wfq favors
   // prod, and shared cached blocks migrate between their accounts under
   // the last-toucher-pays rule.
-  base.tenants = {{0, "prod", 4.0, 0, sched::kNoQuota, 1.0},
-                  {1, "batch", 1.0, 0, sched::kNoQuota, 1.0}};
-  base.kv_blocks = 768;
-  base.shared_prefix_groups = 4;
-  base.shared_prefix_share = 0.8;
+  base.scheduler.tenants = {{0, "prod", 4.0, 0, sched::kNoQuota, 1.0},
+                            {1, "batch", 1.0, 0, sched::kNoQuota, 1.0}};
+  base.scheduler.blocks.num_blocks = 768;
+  base.workload.shared_prefix_groups = 4;
+  base.workload.shared_prefix_share = 0.8;
 
   struct Mix {
     const char* name;
@@ -72,7 +74,7 @@ static int run(marlin::CliArgs& args) {
 
   std::cout << "=== Prefix-cache sweep: " << ecfg.model.name << " ("
             << serve::to_string(ecfg.format) << ") on " << ecfg.gpu.name
-            << ", " << base.qps << " QPS, " << base.duration_s
+            << ", " << base.workload.qps << " QPS, " << base.workload.duration_s
             << " s, 2 tenants (w4/w1) ===\n"
             << "Shared mixes: 4 system prompts of 256 tokens on 80% of "
                "requests; KV budget 768 blocks of 16 tokens per replica\n\n";
@@ -96,10 +98,10 @@ static int run(marlin::CliArgs& args) {
     const bench::SweepTimer timer(ctx, "prefix-cache sweep");
     return bench::run_sweep(ctx, points, [&](const Point& pt) {
       serve::ServingConfig sc = base;
-      sc.policy = policies[pt.policy];
-      sc.shared_prefix_tokens = mixes[pt.mix].prefix_tokens;
-      sc.sampling_n = mixes[pt.mix].sampling_n;
-      sc.prefix_cache.enabled = cache_axis[pt.cache];
+      sc.scheduler.policy = policies[pt.policy];
+      sc.workload.shared_prefix_tokens = mixes[pt.mix].prefix_tokens;
+      sc.workload.sampling_n = mixes[pt.mix].sampling_n;
+      sc.scheduler.blocks.prefix_cache.enabled = cache_axis[pt.cache];
       return serve::simulate(engine, sc).sched;
     });
   }();
@@ -155,9 +157,9 @@ static int run(marlin::CliArgs& args) {
   // config — the shared mix with the cache on under wfq — so the trace
   // shows prefix-cache-hit instants alongside the request lifecycle.
   serve::ServingConfig sc = base;
-  sc.policy = sched::SchedPolicy::kWeightedFair;
-  sc.shared_prefix_tokens = 256;
-  sc.prefix_cache.enabled = true;
+  sc.scheduler.policy = sched::SchedPolicy::kWeightedFair;
+  sc.workload.shared_prefix_tokens = 256;
+  sc.scheduler.blocks.prefix_cache.enabled = true;
   observation.maybe_write(engine, sc);
   return 0;
 }

@@ -19,12 +19,12 @@ static int run(marlin::CliArgs& args) {
   namespace sched = serve::sched;
   const SimContext ctx = make_sim_context(args);
   serve::ServingConfig base;
-  base.qps = args.get_double("qps", 8.0, "mean arrival rate");
-  base.duration_s =
+  base.workload.qps = args.get_double("qps", 8.0, "mean arrival rate");
+  base.workload.duration_s =
       args.get_double("duration", 60.0, "arrival window seconds");
-  base.seed = bench::read_seed(args);
-  base.prefix_cache = bench::read_prefix_cache(args);
-  base.prefill_chunk_tokens = args.get_int(
+  base.workload.seed = bench::read_seed(args);
+  base.scheduler.blocks.prefix_cache = bench::read_prefix_cache(args);
+  base.scheduler.prefill_chunk_tokens = args.get_int(
       "prefill-chunk", 0, "per-sequence prefill chunk tokens (0 = unchunked)");
   // The sweep runs fcfs, sjf and max-util itself; --policy picks the
   // traced run's.
@@ -40,9 +40,10 @@ static int run(marlin::CliArgs& args) {
   ecfg.gpu = gpusim::rtxa6000();
   ecfg.format = serve::WeightFormat::kMarlin;
   const serve::Engine engine(ecfg);
+  base.validate(ecfg.model);
 
   const index_t block_size = 16;
-  base.kv_block_size = block_size;
+  base.scheduler.blocks.block_size = block_size;
   const index_t derived = sched::derive_kv_block_budget(engine, block_size);
   struct Budget {
     std::string label;
@@ -62,7 +63,8 @@ static int run(marlin::CliArgs& args) {
 
   std::cout << "=== Scheduler sweep: " << ecfg.model.name << " ("
             << serve::to_string(ecfg.format) << ") on " << ecfg.gpu.name
-            << ", " << base.qps << " QPS, " << base.duration_s << " s ===\n"
+            << ", " << base.workload.qps << " QPS, "
+            << base.workload.duration_s << " s ===\n"
             << "KV budgets (blocks of " << block_size
             << " tokens): unlimited, hbm=" << derived << ", tight=128\n\n";
 
@@ -83,9 +85,9 @@ static int run(marlin::CliArgs& args) {
   const bench::SweepTimer timer(ctx, "scheduler scenario sweep");
   const auto cells = bench::run_sweep(ctx, points, [&](const Point& pt) {
     serve::ServingConfig sc = base;
-    sc.shape = shapes[pt.shape];
-    sc.policy = policies[pt.policy];
-    sc.kv_blocks = budgets[pt.budget].blocks;
+    sc.workload.shape = shapes[pt.shape];
+    sc.scheduler.policy = policies[pt.policy];
+    sc.scheduler.blocks.num_blocks = budgets[pt.budget].blocks;
     return serve::simulate(engine, sc).sched;
   });
 
@@ -119,9 +121,9 @@ static int run(marlin::CliArgs& args) {
   // `--trace-out` / `--metrics-out`: record the tight-KV bursty cell (the
   // one that queues and preempts) in one serial re-run.
   serve::ServingConfig sc = base;
-  sc.shape = sched::WorkloadShape::kBursty;
-  sc.policy = traced_policy;
-  sc.kv_blocks = 128;
+  sc.workload.shape = sched::WorkloadShape::kBursty;
+  sc.scheduler.policy = traced_policy;
+  sc.scheduler.blocks.num_blocks = 128;
   observation.maybe_write(engine, sc);
   return 0;
 }

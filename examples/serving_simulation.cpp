@@ -12,8 +12,10 @@
 // `--tp/--pp/--microbatches` shard the model across a tensor/pipeline-
 // parallel rank grid (per-rank workers, interconnect-priced all-reduce and
 // activation send/recv); they are the one way to use more than one GPU.
-// Invalid input prints one `serving_simulation: ...` line to stderr and
-// exits with status 2.
+// Invalid input (a flag or the serving config it builds) prints one
+// `serving_simulation: ...` line to stderr before any output and exits
+// with status 2. A KV budget too small for some requests still runs, and
+// warns on stderr how many of each format's requests it rejected.
 
 #include <iostream>
 #include <optional>
@@ -40,35 +42,37 @@ static int run(marlin::CliArgs& args) {
       args.get_parsed("device", "rtxa6000", "GPU", gpusim::device_by_name);
 
   serve::ServingConfig scfg;
-  scfg.qps = args.get_double("qps", 2.5, "mean arrival rate");
-  scfg.duration_s =
+  sched::WorkloadConfig& w = scfg.workload;
+  sched::SchedulerConfig& sc = scfg.scheduler;
+  w.qps = args.get_double("qps", 2.5, "mean arrival rate");
+  w.duration_s =
       args.get_double("duration", 120.0, "arrival window seconds");
-  scfg.input_tokens = args.get_int("input-tokens", 64, "prompt tokens");
-  scfg.output_tokens = args.get_int("output-tokens", 64, "output tokens");
-  scfg.seed = bench::read_seed(args);
-  scfg.prefix_cache = bench::read_prefix_cache(args);
-  scfg.shape = bench::read_workload(args);
-  scfg.policy = bench::read_policy(args);
+  w.input_tokens = args.get_int("input-tokens", 64, "prompt tokens");
+  w.output_tokens = args.get_int("output-tokens", 64, "output tokens");
+  w.seed = bench::read_seed(args);
+  sc.blocks.prefix_cache = bench::read_prefix_cache(args);
+  w.shape = bench::read_workload(args);
+  sc.policy = bench::read_policy(args);
   // --kv-blocks: -1 derives the budget from the device HBM next to the
   // weights (per-rank aware under --tp/--pp); 0 keeps it unlimited; any
   // positive count is used as-is.
-  scfg.kv_blocks = args.get_int(
+  sc.blocks.num_blocks = args.get_int(
       "kv-blocks", 0,
       "KV budget in blocks (-1 = derive from HBM, 0 = unlimited)");
-  scfg.kv_block_size =
+  sc.blocks.block_size =
       args.get_int("kv-block-size", 16, "tokens per KV block");
-  scfg.prefill_chunk_tokens = args.get_int(
+  sc.prefill_chunk_tokens = args.get_int(
       "prefill-chunk", 0,
       "per-sequence prefill chunk tokens (0 = whole prompt)");
-  scfg.shared_prefix_tokens = args.get_int(
+  w.shared_prefix_tokens = args.get_int(
       "shared-prefix-tokens", 0,
       "shared system-prompt length prepended to tagged prompts (0 = off)");
-  scfg.shared_prefix_groups =
+  w.shared_prefix_groups =
       args.get_int("shared-prefix-groups", 1, "distinct shared headers");
-  scfg.shared_prefix_share = args.get_double(
+  w.shared_prefix_share = args.get_double(
       "shared-prefix-share", 1.0,
       "fraction of requests carrying a shared header");
-  scfg.sampling_n =
+  w.sampling_n =
       args.get_int("sampling-n", 1, "parallel-sampling width per request");
   scfg.parallel.tensor_parallel =
       static_cast<int>(args.get_int("tp", 1, "tensor-parallel degree"));
@@ -90,11 +94,11 @@ static int run(marlin::CliArgs& args) {
     sched::TenantSpec spec;
     spec.id = t;
     spec.name = "tenant" + std::to_string(t);
-    scfg.tenants.push_back(spec);
+    sc.tenants.push_back(spec);
   }
-  scfg.speculation.depth = args.get_int(
+  sc.speculation.depth = args.get_int(
       "spec-depth", 0, "speculative draft tokens per round (0 = off)");
-  scfg.speculation.acceptance =
+  sc.speculation.acceptance =
       args.get_double("spec-accept", 0.7, "per-token draft acceptance");
   const auto draft = args.get_parsed(
       "draft-model", "", "draft model (empty = tinyllama-1.1b)",
@@ -112,9 +116,9 @@ static int run(marlin::CliArgs& args) {
       "placement", "round-robin",
       "replica placement: round-robin | least-loaded | session-affinity",
       serve::cluster::placement_by_name);
-  scfg.slo.ttft_deadline_ms = args.get_double(
+  sc.slo.ttft_deadline_ms = args.get_double(
       "ttft-slo", 0.0, "TTFT deadline ms (shed-on-hopeless; 0 = off)");
-  scfg.slo.tpot_deadline_ms = args.get_double(
+  sc.slo.tpot_deadline_ms = args.get_double(
       "tpot-slo", 0.0, "TPOT deadline ms (violation accounting; 0 = off)");
   scfg.cluster.autoscaler.enabled = args.get_bool(
       "autoscale", false, "enable the trace-driven autoscaler");
@@ -136,9 +140,19 @@ static int run(marlin::CliArgs& args) {
   args.finish(
       "trace-driven serving comparison of weight formats (FP16 / MARLIN / "
       "Sparse-MARLIN) on the request-level scheduler");
-  // Building the rank grid once validates it against the model (degrees,
-  // head divisibility) before anything is printed.
-  (void)serve::parallel::ParallelEngine(serve::Engine(ecfg), scfg.parallel);
+  scfg.validate(ecfg.model);
+  const std::vector<serve::WeightFormat> formats{
+      serve::WeightFormat::kFp16, serve::WeightFormat::kMarlin,
+      serve::WeightFormat::kSparseMarlin};
+  // Each format's KV budget: a derived one (--kv-blocks -1) needs the
+  // format's weights, and one that leaves no headroom fails here, before
+  // any output.
+  std::vector<index_t> budgets;
+  for (const serve::WeightFormat format : formats) {
+    serve::EngineConfig cfg = ecfg;
+    cfg.format = format;
+    budgets.push_back(serve::kv_block_budget(serve::Engine(cfg), scfg));
+  }
 
   std::cout << ecfg.model.name << " on " << scfg.parallel.world_size()
             << "x " << ecfg.gpu.name;
@@ -146,16 +160,16 @@ static int run(marlin::CliArgs& args) {
     std::cout << " (" << scfg.parallel.to_string() << ", "
               << ecfg.gpu.interconnect_name << ")";
   }
-  std::cout << ", " << scfg.qps << " QPS " << sched::to_string(scfg.shape)
-            << ", " << scfg.input_tokens << " in / " << scfg.output_tokens
-            << " out, policy " << sched::to_string(scfg.policy);
-  if (!scfg.tenants.empty()) {
-    std::cout << ", " << scfg.tenants.size() << " tenants";
+  std::cout << ", " << w.qps << " QPS " << sched::to_string(w.shape)
+            << ", " << w.input_tokens << " in / " << w.output_tokens
+            << " out, policy " << sched::to_string(sc.policy);
+  if (!sc.tenants.empty()) {
+    std::cout << ", " << sc.tenants.size() << " tenants";
   }
-  if (scfg.speculation.enabled()) {
-    std::cout << ", speculative depth " << scfg.speculation.depth
+  if (sc.speculation.enabled()) {
+    std::cout << ", speculative depth " << sc.speculation.depth
               << " (accept "
-              << format_double(scfg.speculation.acceptance, 2) << ", draft "
+              << format_double(sc.speculation.acceptance, 2) << ", draft "
               << (scfg.draft_model.name.empty()
                       ? serve::tinyllama_1_1b().name  // server_sim's default
                       : scfg.draft_model.name)
@@ -163,7 +177,7 @@ static int run(marlin::CliArgs& args) {
   }
   const bool clustered = scfg.cluster.replicas > 1 ||
                          scfg.cluster.autoscaler.enabled ||
-                         scfg.cluster.disagg.enabled || scfg.slo.enabled();
+                         scfg.cluster.disagg.enabled || sc.slo.enabled();
   if (clustered) {
     if (scfg.cluster.disagg.enabled) {
       std::cout << ", pools " << scfg.cluster.disagg.prefill_replicas
@@ -176,18 +190,16 @@ static int run(marlin::CliArgs& args) {
     if (scfg.cluster.autoscaler.enabled) {
       std::cout << ", autoscale<=" << scfg.cluster.autoscaler.max_replicas;
     }
-    if (scfg.slo.enabled()) {
-      std::cout << ", SLO " << scfg.slo.ttft_deadline_ms << "/"
-                << scfg.slo.tpot_deadline_ms << " ms";
+    if (sc.slo.enabled()) {
+      std::cout << ", SLO " << sc.slo.ttft_deadline_ms << "/"
+                << sc.slo.tpot_deadline_ms << " ms";
     }
   }
   std::cout << "\n\n";
 
-  const std::vector<serve::WeightFormat> formats{
-      serve::WeightFormat::kFp16, serve::WeightFormat::kMarlin,
-      serve::WeightFormat::kSparseMarlin};
   std::vector<std::vector<std::string>> rows(formats.size());
   std::vector<std::string> cluster_rows(formats.size());
+  std::vector<std::string> warnings(formats.size());
   ctx.parallel_for(0, static_cast<std::int64_t>(formats.size()),
                    [&](std::int64_t i) {
                      auto cfg = ecfg;
@@ -210,6 +222,17 @@ static int run(marlin::CliArgs& args) {
                             << format_double(cs.transfer_seconds, 3) << " s)";
                        }
                        cluster_rows[static_cast<std::size_t>(i)] = cl.str();
+                     }
+                     if (st.rejected > 0) {
+                       std::ostringstream wn;
+                       wn << "serving_simulation: warning: "
+                          << serve::to_string(cfg.format) << ": "
+                          << st.rejected << " of " << st.requests.size()
+                          << " requests rejected: each needs more KV "
+                             "blocks than the "
+                          << budgets[static_cast<std::size_t>(i)]
+                          << "-block budget leaves";
+                       warnings[static_cast<std::size_t>(i)] = wn.str();
                      }
                      double weights_per_gpu = engine.weight_bytes_per_gpu();
                      if (!scfg.parallel.trivial()) {
@@ -237,6 +260,9 @@ static int run(marlin::CliArgs& args) {
   if (clustered) {
     std::cout << "\nCluster:\n";
     for (const auto& line : cluster_rows) std::cout << "  " << line << "\n";
+  }
+  for (const auto& line : warnings) {
+    if (!line.empty()) std::cerr << line << "\n";
   }
 
   // `--trace-out` / `--metrics-out`: record the exact configured run on

@@ -6,7 +6,7 @@
 
 namespace marlin::serve::parallel {
 
-void ParallelConfig::validate() const {
+void ParallelConfig::validate(const ModelConfig& model) const {
   MARLIN_CHECK(tensor_parallel >= 1,
                "tensor-parallel degree must be >= 1, got " << tensor_parallel);
   MARLIN_CHECK(pipeline_parallel >= 1,
@@ -18,6 +18,16 @@ void ParallelConfig::validate() const {
   MARLIN_CHECK(comm_buckets >= 1,
                "comm-bucket count must be >= 1 (1 = serialized), got "
                    << comm_buckets);
+  MARLIN_CHECK(model.num_heads % tensor_parallel == 0 &&
+                   model.num_kv_heads % tensor_parallel == 0,
+               model.name << " has " << model.num_heads << " heads and "
+                          << model.num_kv_heads
+                          << " KV heads; tensor-parallel degree "
+                          << tensor_parallel << " does not divide both");
+  MARLIN_CHECK(pipeline_parallel <= model.num_layers,
+               "pipeline-parallel degree " << pipeline_parallel
+                                           << " exceeds the model's "
+                                           << model.num_layers << " layers");
 }
 
 std::string ParallelConfig::to_string() const {

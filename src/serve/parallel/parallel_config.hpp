@@ -13,6 +13,8 @@
 
 #include <string>
 
+#include "serve/model_config.hpp"
+
 namespace marlin::serve::parallel {
 
 struct ParallelConfig {
@@ -40,8 +42,9 @@ struct ParallelConfig {
   }
 
   /// Throws on a malformed config (degrees < 1, negative microbatches,
-  /// comm buckets < 1).
-  void validate() const;
+  /// comm buckets < 1) or one `model` cannot be sharded by (a TP degree
+  /// that does not divide both head counts, more stages than layers).
+  void validate(const ModelConfig& model) const;
   /// Compact label, e.g. "tp2 pp2", "tp1 pp4 mb8" or "tp4 pp1 cb4".
   [[nodiscard]] std::string to_string() const;
 };

@@ -30,7 +30,7 @@ MicrobatchPlan plan_microbatches(const ParallelConfig& cfg, index_t batch) {
 
 ParallelEngine::ParallelEngine(const Engine& engine, ParallelConfig cfg)
     : engine_(engine), cfg_(cfg), link_(Interconnect::of(engine.config().gpu)) {
-  cfg_.validate();
+  cfg_.validate(engine.config().model);
   workers_.reserve(static_cast<std::size_t>(cfg_.world_size()));
   for (int stage = 0; stage < cfg_.pipeline_parallel; ++stage) {
     for (int tp = 0; tp < cfg_.tensor_parallel; ++tp) {

@@ -10,25 +10,15 @@ namespace marlin::serve::parallel {
 
 Worker::Worker(const Engine& engine, const ParallelConfig& cfg, RankId rank)
     : engine_(&engine), cfg_(cfg), rank_(rank) {
-  cfg_.validate();
+  const ModelConfig& model = engine.config().model;
+  cfg_.validate(model);
   MARLIN_CHECK(rank_.tp >= 0 && rank_.tp < cfg_.tensor_parallel,
                "tp rank " << rank_.tp << " outside tensor-parallel group of "
                           << cfg_.tensor_parallel);
   MARLIN_CHECK(rank_.stage >= 0 && rank_.stage < cfg_.pipeline_parallel,
                "stage " << rank_.stage << " outside pipeline of "
                         << cfg_.pipeline_parallel);
-  const ModelConfig& model = engine.config().model;
-  MARLIN_CHECK(model.num_heads % cfg_.tensor_parallel == 0 &&
-                   model.num_kv_heads % cfg_.tensor_parallel == 0,
-               model.name << " has " << model.num_heads << " heads and "
-                          << model.num_kv_heads
-                          << " KV heads; tensor-parallel degree "
-                          << cfg_.tensor_parallel << " does not divide both");
   const index_t layers = model.num_layers;
-  MARLIN_CHECK(cfg_.pipeline_parallel <= layers,
-               "pipeline-parallel degree " << cfg_.pipeline_parallel
-                                           << " exceeds the model's " << layers
-                                           << " layers");
   // Balanced contiguous partition; the first `rem` stages take one extra
   // layer (the last stage already carries the LM head).
   const index_t base = layers / cfg_.pipeline_parallel;

@@ -35,9 +35,8 @@ struct RankId {
 
 class Worker {
  public:
-  /// Throws when the rank lies outside the grid, the pipeline has more
-  /// stages than the model has layers, or the tensor-parallel degree does
-  /// not divide both the model's attention heads and its KV heads.
+  /// Throws when the rank lies outside the grid or `cfg` fails
+  /// `ParallelConfig::validate` against the engine's model.
   Worker(const Engine& engine, const ParallelConfig& cfg, RankId rank);
 
   [[nodiscard]] const RankId& rank() const { return rank_; }

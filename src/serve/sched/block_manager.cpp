@@ -17,12 +17,26 @@ void PrefixCacheConfig::validate() const {
   MARLIN_CHECK(min_prefix_blocks >= 1, "min prefix blocks must be >= 1");
 }
 
-BlockManager::BlockManager(BlockManagerConfig cfg) : cfg_(std::move(cfg)) {
-  MARLIN_CHECK(cfg_.block_size >= 1, "block size must be >= 1 token");
-  MARLIN_CHECK(cfg_.num_blocks >= 0, "negative block budget");
-  MARLIN_CHECK(cfg_.watermark >= 0.0 && cfg_.watermark < 1.0,
+void BlockManagerConfig::validate() const {
+  MARLIN_CHECK(block_size >= 1, "block size must be >= 1 token");
+  MARLIN_CHECK(num_blocks >= 0, "negative block budget");
+  MARLIN_CHECK(watermark >= 0.0 && watermark < 1.0,
                "watermark must be in [0, 1)");
-  cfg_.prefix_cache.validate();
+  prefix_cache.validate();
+  for (std::size_t i = 0; i < tenant_quotas.size(); ++i) {
+    const auto& [tenant, quota] = tenant_quotas[i];
+    MARLIN_CHECK(tenant >= 0, "tenant id must be >= 0");
+    MARLIN_CHECK(quota >= 0, "tenant " << tenant
+                                       << " quota must be >= 0 blocks");
+    for (std::size_t j = 0; j < i; ++j) {
+      MARLIN_CHECK(tenant_quotas[j].first != tenant,
+                   "duplicate quota for tenant " << tenant);
+    }
+  }
+}
+
+BlockManager::BlockManager(BlockManagerConfig cfg) : cfg_(std::move(cfg)) {
+  cfg_.validate();
   if (!unlimited()) {
     watermark_blocks_ = static_cast<index_t>(
         std::ceil(cfg_.watermark * static_cast<double>(cfg_.num_blocks)));
@@ -46,14 +60,9 @@ BlockManager::BlockManager(BlockManagerConfig cfg) : cfg_(std::move(cfg)) {
     if (cache_on()) table_.reserve(n);
   }
   for (const auto& [tenant, quota] : cfg_.tenant_quotas) {
-    MARLIN_CHECK(tenant >= 0, "tenant id must be >= 0");
-    MARLIN_CHECK(quota >= 0, "tenant " << tenant
-                                       << " quota must be >= 0 blocks");
     if (uz(tenant) >= quotas_.size()) {
       quotas_.resize(uz(tenant) + 1, kNoQuota);
     }
-    MARLIN_CHECK(quotas_[uz(tenant)] == kNoQuota,
-                 "duplicate quota for tenant " << tenant);
     quotas_[uz(tenant)] = quota;
   }
 }

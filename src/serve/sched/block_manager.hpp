@@ -87,6 +87,9 @@ struct BlockManagerConfig {
   std::vector<std::pair<index_t, index_t>> tenant_quotas;
   /// Hashed prefix cache (off by default).
   PrefixCacheConfig prefix_cache;
+
+  /// Throws on out-of-range values, negative or duplicate quotas included.
+  void validate() const;
 };
 
 class BlockManager {

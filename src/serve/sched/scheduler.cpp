@@ -61,6 +61,26 @@ void SloConfig::validate() const {
                "negative TPOT deadline (" << tpot_deadline_ms << " ms)");
 }
 
+void SchedulerConfig::validate() const {
+  MARLIN_CHECK(max_batch >= 1, "max_batch must be >= 1");
+  MARLIN_CHECK(prefill_chunk_tokens >= 0, "negative prefill chunk");
+  blocks.validate();
+  for (std::size_t i = 0; i < tenants.size(); ++i) {
+    tenants[i].validate();
+    for (std::size_t j = 0; j < i; ++j) {
+      MARLIN_CHECK(tenants[i].id != tenants[j].id,
+                   "duplicate tenant id " << tenants[i].id);
+    }
+  }
+  speculation.validate();
+  slo.validate();
+  if (policy == SchedPolicy::kWeightedFair) {
+    MARLIN_CHECK(wfq_aging_tokens_per_s > 0,
+                 "WFQ needs a positive aging rate (starvation-proofness)");
+    MARLIN_CHECK(wfq_tier_penalty_tokens >= 0, "negative WFQ tier penalty");
+  }
+}
+
 SchedCounters ReplicaState::totals() const {
   SchedCounters c = counters;
   c.prefix_cache_hit_blocks = bm.prefix_cache_hit_blocks();
@@ -668,25 +688,9 @@ void Ticker::step() {
 Scheduler::Scheduler(const StepModel& model, SchedulerConfig cfg,
                      const StepModel* draft_model)
     : model_(model), draft_model_(draft_model), cfg_(std::move(cfg)) {
-  MARLIN_CHECK(cfg_.max_batch >= 1, "max_batch must be >= 1");
-  MARLIN_CHECK(cfg_.prefill_chunk_tokens >= 0, "negative prefill chunk");
-  for (std::size_t i = 0; i < cfg_.tenants.size(); ++i) {
-    cfg_.tenants[i].validate();
-    for (std::size_t j = 0; j < i; ++j) {
-      MARLIN_CHECK(cfg_.tenants[i].id != cfg_.tenants[j].id,
-                   "duplicate tenant id " << cfg_.tenants[i].id);
-    }
-  }
-  cfg_.speculation.validate();
-  cfg_.slo.validate();
+  cfg_.validate();
   MARLIN_CHECK(!cfg_.speculation.enabled() || draft_model_ != nullptr,
                "speculative decoding needs a draft StepModel");
-  if (cfg_.policy == SchedPolicy::kWeightedFair) {
-    MARLIN_CHECK(cfg_.wfq_aging_tokens_per_s > 0,
-                 "WFQ needs a positive aging rate (starvation-proofness)");
-    MARLIN_CHECK(cfg_.wfq_tier_penalty_tokens >= 0,
-                 "negative WFQ tier penalty");
-  }
   // Mirror the tenant specs' soft KV quotas into the block manager unless
   // quotas were configured there explicitly.
   if (cfg_.blocks.tenant_quotas.empty()) {

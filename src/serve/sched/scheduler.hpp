@@ -162,6 +162,10 @@ struct SchedulerConfig {
   /// Streaming SLOs (TTFT shed-on-hopeless + TPOT violation accounting);
   /// disabled by default.
   SloConfig slo;
+
+  /// Throws on out-of-range values, in `blocks`, the tenant specs (or a
+  /// duplicate id), `speculation` and `slo` too.
+  void validate() const;
 };
 
 /// One replica's mutable serving state — everything the passive

@@ -102,11 +102,7 @@ void assign_tenants(const WorkloadConfig& cfg,
                     std::vector<TraceRequest>& trace) {
   if (cfg.tenant_shares.empty()) return;
   double total = 0.0;
-  for (const double s : cfg.tenant_shares) {
-    MARLIN_CHECK(s >= 0.0, "tenant shares must be >= 0");
-    total += s;
-  }
-  MARLIN_CHECK(total > 0.0, "tenant mix needs at least one positive share");
+  for (const double s : cfg.tenant_shares) total += s;
   constexpr std::uint64_t kTenantStreamSalt = 0x7E6A2C55D1B4F09Bull;
   Rng rng(cfg.seed ^ kTenantStreamSalt);
   for (auto& r : trace) {
@@ -132,11 +128,6 @@ void assign_tenants(const WorkloadConfig& cfg,
 void assign_prefixes(const WorkloadConfig& cfg,
                      std::vector<TraceRequest>& trace) {
   if (cfg.shared_prefix_tokens <= 0) return;
-  MARLIN_CHECK(cfg.shared_prefix_groups >= 1,
-               "shared-prefix mix needs at least one group");
-  MARLIN_CHECK(cfg.shared_prefix_share >= 0.0 &&
-                   cfg.shared_prefix_share <= 1.0,
-               "shared_prefix_share must be in [0, 1]");
   constexpr std::uint64_t kPrefixStreamSalt = 0x3C79AC492BA7B653ull;
   Rng rng(cfg.seed ^ kPrefixStreamSalt);
   for (auto& r : trace) {
@@ -156,14 +147,41 @@ void assign_prefixes(const WorkloadConfig& cfg,
 
 }  // namespace
 
+void WorkloadConfig::validate() const {
+  MARLIN_CHECK(qps > 0, "QPS must be positive (got " << qps << ")");
+  MARLIN_CHECK(duration_s > 0,
+               "duration must be positive (got " << duration_s << " s)");
+  MARLIN_CHECK(input_tokens >= 1 && output_tokens >= 1,
+               "token counts must be >= 1 (got " << input_tokens << " in / "
+                                                 << output_tokens << " out)");
+  MARLIN_CHECK(burst_on_s > 0 && burst_off_s >= 0,
+               "burst windows need ON > 0 and OFF >= 0 seconds");
+  MARLIN_CHECK(length_sigma >= 0, "negative ShareGPT length sigma");
+  MARLIN_CHECK(min_tokens >= 1 && min_tokens <= max_input_tokens &&
+                   min_tokens <= max_output_tokens,
+               "ShareGPT length clamps need 1 <= min_tokens <= both maxima");
+  if (!tenant_shares.empty()) {
+    double total = 0.0;
+    for (const double s : tenant_shares) {
+      MARLIN_CHECK(s >= 0.0, "tenant shares must be >= 0");
+      total += s;
+    }
+    MARLIN_CHECK(total > 0.0, "tenant mix needs at least one positive share");
+  }
+  MARLIN_CHECK(shared_prefix_tokens >= 0, "negative shared-prefix length");
+  if (shared_prefix_tokens > 0) {
+    MARLIN_CHECK(shared_prefix_groups >= 1,
+                 "shared-prefix mix needs at least one group");
+    MARLIN_CHECK(shared_prefix_share >= 0.0 && shared_prefix_share <= 1.0,
+                 "shared_prefix_share must be in [0, 1] (got "
+                     << shared_prefix_share << ")");
+  }
+  MARLIN_CHECK(sampling_n >= 1,
+               "sampling_n must be >= 1 (got " << sampling_n << ")");
+}
+
 std::vector<TraceRequest> generate_trace(const WorkloadConfig& cfg) {
-  MARLIN_CHECK(cfg.qps > 0, "QPS must be positive");
-  MARLIN_CHECK(cfg.duration_s > 0, "duration must be positive");
-  MARLIN_CHECK(cfg.input_tokens >= 1 && cfg.output_tokens >= 1,
-               "token counts must be >= 1");
-  MARLIN_CHECK(cfg.shared_prefix_tokens >= 0,
-               "negative shared-prefix length");
-  MARLIN_CHECK(cfg.sampling_n >= 1, "sampling_n must be >= 1");
+  cfg.validate();
   Rng rng(cfg.seed);
   std::vector<TraceRequest> trace;
   switch (cfg.shape) {

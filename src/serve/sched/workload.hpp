@@ -87,10 +87,14 @@ struct WorkloadConfig {
   /// Parallel-sampling width stamped on every request (n>1 sampling);
   /// 1 = classic single-sequence decoding.
   index_t sampling_n = 1;
+
+  /// Throws on out-of-range values, in the tenant and shared-prefix mixes
+  /// too.
+  void validate() const;
 };
 
 /// Arrival-ordered trace for the configured shape; empty if the rate and
-/// duration produce no arrivals.
+/// duration produce no arrivals. Validates `cfg` first.
 std::vector<TraceRequest> generate_trace(const WorkloadConfig& cfg);
 
 }  // namespace marlin::serve::sched

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <utility>
 
 #include "serve/parallel/interconnect.hpp"
 #include "serve/parallel/parallel_engine.hpp"
@@ -9,39 +10,48 @@
 
 namespace marlin::serve {
 
+void ServingConfig::validate(const ModelConfig& model) const {
+  workload.validate();
+  // A negative budget asks `simulate` to derive one; check the rest of
+  // the block-manager config as the resolved budget will see it.
+  sched::SchedulerConfig resolved = scheduler;
+  resolved.blocks.num_blocks = std::max<index_t>(resolved.blocks.num_blocks, 0);
+  resolved.validate();
+  parallel.validate(model);
+  cluster.validate();
+  for (const auto& t : scheduler.tenants) {
+    MARLIN_CHECK(t.id < 4096, "tenant id " << t.id << " unreasonably large");
+  }
+  MARLIN_CHECK(workload.tenant_shares.empty(),
+               "set the tenant mix through scheduler.tenants' traffic "
+               "shares, not workload.tenant_shares");
+}
+
+index_t kv_block_budget(const Engine& engine, const ServingConfig& cfg) {
+  const sched::BlockManagerConfig& blocks = cfg.scheduler.blocks;
+  if (blocks.num_blocks >= 0) return blocks.num_blocks;
+  if (cfg.parallel.trivial()) {
+    return sched::derive_kv_block_budget(engine, blocks.block_size);
+  }
+  return parallel::ParallelEngine(engine, cfg.parallel)
+      .min_kv_block_budget(blocks.block_size);
+}
+
 cluster::ClusterStats simulate(const Engine& engine, const ServingConfig& cfg,
                                const SimContext& ctx) {
-  sched::WorkloadConfig w;
-  w.shape = cfg.shape;
-  w.qps = cfg.qps;
-  w.duration_s = cfg.duration_s;
-  w.input_tokens = cfg.input_tokens;
-  w.output_tokens = cfg.output_tokens;
-  w.seed = cfg.seed;
-  w.shared_prefix_tokens = cfg.shared_prefix_tokens;
-  w.shared_prefix_groups = cfg.shared_prefix_groups;
-  w.shared_prefix_share = cfg.shared_prefix_share;
-  w.sampling_n = cfg.sampling_n;
+  cfg.validate(engine.config().model);
 
   // Tenant mix: `tenant_shares[i]` is tenant id i's share, so scatter the
   // specs' traffic shares by id (ids need not be dense).
-  if (!cfg.tenants.empty()) {
+  sched::WorkloadConfig workload = cfg.workload;
+  if (!cfg.scheduler.tenants.empty()) {
     index_t max_id = 0;
-    for (const auto& t : cfg.tenants) {
-      t.validate();
-      MARLIN_CHECK(t.id < 4096, "tenant id " << t.id << " unreasonably large");
-      max_id = std::max(max_id, t.id);
-    }
-    w.tenant_shares.assign(static_cast<std::size_t>(max_id) + 1, 0.0);
-    for (const auto& t : cfg.tenants) {
-      w.tenant_shares[static_cast<std::size_t>(t.id)] = t.traffic_share;
+    for (const auto& t : cfg.scheduler.tenants) max_id = std::max(max_id, t.id);
+    workload.tenant_shares.assign(static_cast<std::size_t>(max_id) + 1, 0.0);
+    for (const auto& t : cfg.scheduler.tenants) {
+      workload.tenant_shares[static_cast<std::size_t>(t.id)] = t.traffic_share;
     }
   }
-
-  // Validate unconditionally: a malformed microbatch count must not be
-  // masked just because tp/pp happen to be 1 (the trivial path below
-  // never reaches the ParallelEngine ctor that would catch it).
-  cfg.parallel.validate();
 
   // Non-trivial parallel configs price steps through the per-rank worker
   // model; the trivial default stays on the engine itself so the legacy
@@ -51,30 +61,14 @@ cluster::ClusterStats simulate(const Engine& engine, const ServingConfig& cfg,
   const StepModel& model =
       sharded ? static_cast<const StepModel&>(*sharded) : engine;
 
-  index_t kv_blocks = cfg.kv_blocks;
-  if (kv_blocks < 0) {
-    kv_blocks = sharded
-                    ? sharded->min_kv_block_budget(cfg.kv_block_size)
-                    : sched::derive_kv_block_budget(engine, cfg.kv_block_size);
-  }
-
-  sched::SchedulerConfig sc;
-  sc.policy = cfg.policy;
-  sc.max_batch = cfg.max_batch;
-  sc.prefill_chunk_tokens = cfg.prefill_chunk_tokens;
-  sc.blocks.block_size = cfg.kv_block_size;
-  sc.blocks.num_blocks = kv_blocks;
-  cfg.prefix_cache.validate();
-  sc.blocks.prefix_cache = cfg.prefix_cache;
-  sc.tenants = cfg.tenants;
-  sc.speculation = cfg.speculation;
-  sc.slo = cfg.slo;
+  sched::SchedulerConfig sc = cfg.scheduler;
+  sc.blocks.num_blocks = kv_block_budget(engine, cfg);
 
   // The draft engine shares the target's device, format and clocks — only
   // the model differs (TinyLlama-1.1B unless configured). It stays on a
   // single device even when the target verifies across a rank grid.
   std::optional<Engine> draft;
-  if (cfg.speculation.enabled()) {
+  if (sc.speculation.enabled()) {
     EngineConfig dcfg = engine.config();
     dcfg.model =
         cfg.draft_model.name.empty() ? tinyllama_1_1b() : cfg.draft_model;
@@ -99,9 +93,10 @@ cluster::ClusterStats simulate(const Engine& engine, const ServingConfig& cfg,
     }
   }
 
-  const sched::Scheduler scheduler(model, sc, draft ? &*draft : nullptr);
+  const sched::Scheduler scheduler(model, std::move(sc),
+                                   draft ? &*draft : nullptr);
   return cluster::EventLoop(scheduler, copts)
-      .run(sched::generate_trace(w), ctx, cfg.recorder);
+      .run(sched::generate_trace(workload), ctx, cfg.recorder);
 }
 
 }  // namespace marlin::serve

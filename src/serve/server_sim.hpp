@@ -1,15 +1,23 @@
 #pragma once
-// Serving simulation entry point (paper Figures 15/16) — a thin adapter
-// over the request-level scheduler subsystem in serve/sched/.
+// Serving simulation entry point (paper Figures 15/16): `simulate` runs a
+// ServingConfig's workload trace through the cluster event loop. It is the
+// one entry point; every bench, example and test reads its results from
+// the returned ClusterStats. The defaults (Poisson arrivals, FCFS,
+// unlimited KV blocks, unchunked prefill) reproduce the pre-subsystem
+// simulator bit-for-bit, which the fig15/fig16 goldens pin down.
 //
-// `simulate` turns a ServingConfig into a workload trace plus a scheduler
-// configuration and runs it through the cluster event loop. It is the one
-// entry point: every bench, example and test reads its results from the
-// returned ClusterStats.
-// The defaults (Poisson arrivals, FCFS, unlimited KV blocks, unchunked
-// prefill) reproduce the pre-subsystem simulator bit-for-bit — the
-// fig15/fig16 golden tables hold — while the extra knobs open the
-// scheduler's policy, workload and KV-budget space to the benches.
+// A ServingConfig is composed of the parts that own each knob:
+//   * `workload`  — arrivals, lengths, seed, shared prefixes, sampling n;
+//   * `scheduler` — policy, batch cap, prefill chunk, KV blocks and prefix
+//     cache, tenants, speculation, SLOs;
+//   * `parallel`  — the TP x PP rank grid of every replica (TP=1, PP=1
+//     prices steps on the engine itself, as the goldens do);
+//   * `cluster`   — replicas, placement, autoscaler, disaggregated pools.
+// Two rules hold only on this serving path:
+//   * `scheduler.blocks.num_blocks < 0` derives the KV budget from the
+//     device HBM next to the weights (the minimum rank budget under TP/PP);
+//   * the tenant mix comes from `scheduler.tenants[i].traffic_share`, so
+//     `workload.tenant_shares` stays empty.
 
 #include "serve/cluster/event_loop.hpp"
 #include "serve/engine.hpp"
@@ -19,84 +27,32 @@
 namespace marlin::serve {
 
 struct ServingConfig {
-  double qps = 1.0;
-  double duration_s = 120.0;  // arrival window; sim drains afterwards
-  index_t input_tokens = 64;
-  index_t output_tokens = 64;
-  index_t max_batch = 128;
-  std::uint64_t seed = 42;
-
-  /// Arrival/length shape (fixed lengths for kPoisson/kBursty; log-normal
-  /// around the configured tokens for kShareGpt).
-  sched::WorkloadShape shape = sched::WorkloadShape::kPoisson;
-  /// Admission policy; FCFS matches the pre-subsystem behaviour.
-  sched::SchedPolicy policy = sched::SchedPolicy::kFcfs;
-  /// KV-cache block budget; 0 = unlimited (the goldens configuration),
-  /// negative = derive from the device HBM next to the resident weights
-  /// (per-rank aware: under TP/PP the minimum rank budget binds).
-  index_t kv_blocks = 0;
-  index_t kv_block_size = 16;
-  /// Per-sequence prefill chunk tokens; 0 = whole prompt per step.
-  index_t prefill_chunk_tokens = 0;
-  /// Hashed prefix cache over full prompt blocks (off by default, which
-  /// keeps every legacy golden bit-identical). When enabled, admissions
-  /// of requests with a shared-prefix tag reuse cached blocks instead of
-  /// re-prefilling them.
-  sched::PrefixCacheConfig prefix_cache;
-  /// Shared-prefix workload mix (see WorkloadConfig): when
-  /// `shared_prefix_tokens` > 0, a `shared_prefix_share` fraction of
-  /// requests prepend one of `shared_prefix_groups` shared headers of
-  /// that many tokens to their prompt, drawn on a side RNG stream.
-  index_t shared_prefix_tokens = 0;
-  index_t shared_prefix_groups = 1;
-  double shared_prefix_share = 1.0;
-  /// Parallel-sampling width stamped on every request (n>1 decodes n
-  /// continuations of one prompt, sharing the prompt KV copy-on-write).
-  index_t sampling_n = 1;
-  /// Multi-GPU sharding, the one way to spread a replica over several
-  /// GPUs. The default (TP=1, PP=1) runs the engine directly and
-  /// reproduces the single-device goldens byte-for-byte; anything else
-  /// prices steps through `parallel::ParallelEngine` (max over ranks plus
-  /// interconnect communication) over the single-device engine.
+  sched::WorkloadConfig workload;
+  sched::SchedulerConfig scheduler;
   parallel::ParallelConfig parallel{};
-
-  /// Multi-tenant serving: tenant specs (WFQ weights, priority tiers,
-  /// soft KV block quotas, traffic shares). Empty = everything belongs to
-  /// the single default tenant 0 and nothing changes. The workload mixes
-  /// tenants by `traffic_share` on a side RNG stream (base trace stays
-  /// bit-identical); `policy = wfq` arbitrates between them.
-  std::vector<sched::TenantSpec> tenants;
-
-  /// Speculative decoding (depth 0 = off). When enabled, the simulation
-  /// builds a draft engine from `draft_model` — same device, weight
-  /// format and clocks as the target; TinyLlama-1.1B when unnamed — and
-  /// every decode step becomes a propose-then-verify round. Under a
-  /// non-trivial `parallel` config the draft stays replicated on a single
-  /// device while the target verifies across the rank grid.
-  sched::SpeculationConfig speculation;
-  ModelConfig draft_model{};
-
-  /// Streaming SLOs (TTFT shed-on-hopeless admission + TPOT violation
-  /// accounting); disabled by default, which leaves every legacy path and
-  /// golden untouched.
-  sched::SloConfig slo;
-
-  /// Cluster shape: replica count, placement policy, autoscaler. The
-  /// default 1-replica round-robin cluster reproduces the single-engine
-  /// goldens byte-for-byte (each replica carves its own `kv_blocks`
-  /// budget; the step-model memo is shared).
   cluster::ClusterOptions cluster{};
-
-  /// Observability recorder (borrowed, may be null — the default). When
-  /// set, the run emits request-lifecycle spans, scheduler/cluster events
-  /// and metrics into it; the scheduling decisions themselves are
-  /// identical with or without a recorder attached.
+  /// Draft model for `scheduler.speculation` (TinyLlama-1.1B when
+  /// unnamed), on the target's device, format and clocks. It stays on one
+  /// device while the target verifies across the rank grid.
+  ModelConfig draft_model{};
+  /// Observability recorder (borrowed, may be null — the default). The
+  /// scheduling decisions are identical with or without one attached.
   obs::ServeRecorder* recorder = nullptr;
+
+  /// Throws on an invalid part or a broken serving rule (tenant ids of
+  /// 4096 or more, a non-empty `workload.tenant_shares`). Budget errors
+  /// that need the engine's weights are raised by `simulate`.
+  void validate(const ModelConfig& model) const;
 };
 
-/// Runs one serving simulation: the fleet's SchedStats (`.sched`) plus
-/// per-replica accounting. `ctx` pre-warms the engine's decode memo on its
-/// pool; the results are bit-identical for every context.
+/// The KV block budget each replica of a `cfg` run on `engine` gets
+/// (0 = unlimited), with a negative request derived from HBM.
+index_t kv_block_budget(const Engine& engine, const ServingConfig& cfg);
+
+/// Validates `cfg`, then runs one serving simulation: the fleet's
+/// SchedStats (`.sched`) plus per-replica accounting. `ctx` pre-warms the
+/// engine's decode memo on its pool; the results are bit-identical for
+/// every context.
 cluster::ClusterStats simulate(
     const Engine& engine, const ServingConfig& cfg,
     const SimContext& ctx = SimContext::serial_context());

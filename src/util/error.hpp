@@ -1,9 +1,12 @@
 #pragma once
 // Error-checking helpers used across the library.
 //
-// MARLIN_CHECK is used for *user-facing argument validation* (throws), while
-// MARLIN_ASSERT guards internal invariants (also throws, so tests can observe
-// violations instead of aborting the process).
+// MARLIN_CHECK is used for *user-facing argument validation*: it throws an
+// Error carrying only its message, which the binaries print as one plain
+// `<bin>: <message>` line. MARLIN_ASSERT guards internal invariants (also
+// throws, so tests can observe violations instead of aborting the
+// process); its message names the source location and the condition,
+// which only matter to whoever fixes the bug.
 
 #include <sstream>
 #include <stdexcept>
@@ -18,24 +21,27 @@ class Error : public std::runtime_error {
 };
 
 namespace detail {
-[[noreturn]] inline void throw_check_failure(const char* expr, const char* file,
-                                             int line, const std::string& msg) {
+[[noreturn]] inline void throw_assert_failure(const char* expr,
+                                              const char* file, int line) {
   std::ostringstream os;
-  os << file << ":" << line << ": check `" << expr << "` failed";
-  if (!msg.empty()) os << ": " << msg;
+  os << file << ":" << line << ": check `" << expr
+     << "` failed: internal invariant violated";
   throw Error(os.str());
 }
 }  // namespace detail
 
 }  // namespace marlin
 
-#define MARLIN_CHECK(cond, msg)                                              \
-  do {                                                                       \
-    if (!(cond)) {                                                           \
-      ::marlin::detail::throw_check_failure(#cond, __FILE__, __LINE__,       \
-                                            (std::ostringstream{} << msg)    \
-                                                .str());                     \
-    }                                                                        \
+#define MARLIN_CHECK(cond, msg)                                           \
+  do {                                                                    \
+    if (!(cond)) {                                                        \
+      throw ::marlin::Error((std::ostringstream{} << msg).str());         \
+    }                                                                     \
   } while (0)
 
-#define MARLIN_ASSERT(cond) MARLIN_CHECK(cond, "internal invariant violated")
+#define MARLIN_ASSERT(cond)                                               \
+  do {                                                                    \
+    if (!(cond)) {                                                        \
+      ::marlin::detail::throw_assert_failure(#cond, __FILE__, __LINE__);  \
+    }                                                                     \
+  } while (0)

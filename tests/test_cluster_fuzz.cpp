@@ -80,38 +80,38 @@ ServingConfig config_for_seed(std::uint64_t seed) {
   };
 
   ServingConfig sc;
-  sc.seed = seed;
-  sc.qps = pickd(4.0, 20.0);
-  sc.duration_s = pickd(3.0, 6.0);
-  sc.input_tokens = pick(16, 96);
-  sc.output_tokens = pick(4, 48);
-  sc.max_batch = pick(8, 64);
-  sc.shape = std::array{sched::WorkloadShape::kPoisson,
-                        sched::WorkloadShape::kBursty,
-                        sched::WorkloadShape::kShareGpt}[pick(0, 2)];
-  sc.policy = std::array{sched::SchedPolicy::kFcfs,
-                         sched::SchedPolicy::kShortestJob,
-                         sched::SchedPolicy::kMaxUtilization,
-                         sched::SchedPolicy::kWeightedFair}[pick(0, 3)];
+  sc.workload.seed = seed;
+  sc.workload.qps = pickd(4.0, 20.0);
+  sc.workload.duration_s = pickd(3.0, 6.0);
+  sc.workload.input_tokens = pick(16, 96);
+  sc.workload.output_tokens = pick(4, 48);
+  sc.scheduler.max_batch = pick(8, 64);
+  sc.workload.shape = std::array{sched::WorkloadShape::kPoisson,
+                                 sched::WorkloadShape::kBursty,
+                                 sched::WorkloadShape::kShareGpt}[pick(0, 2)];
+  sc.scheduler.policy =
+      std::array{sched::SchedPolicy::kFcfs, sched::SchedPolicy::kShortestJob,
+                 sched::SchedPolicy::kMaxUtilization,
+                 sched::SchedPolicy::kWeightedFair}[pick(0, 3)];
   // 0 = unlimited; otherwise tight enough that preemption and admission
   // backpressure actually fire.
-  sc.kv_blocks = pick(0, 2) == 0 ? 0 : pick(48, 192);
-  sc.prefill_chunk_tokens = pick(0, 1) == 0 ? 0 : 32;
-  sc.sampling_n = pick(0, 3) == 0 ? 2 : 1;
+  sc.scheduler.blocks.num_blocks = pick(0, 2) == 0 ? 0 : pick(48, 192);
+  sc.scheduler.prefill_chunk_tokens = pick(0, 1) == 0 ? 0 : 32;
+  sc.workload.sampling_n = pick(0, 3) == 0 ? 2 : 1;
 
   if (pick(0, 1) == 1) {  // hashed prefix cache + shared-prefix traffic
-    sc.prefix_cache.enabled = true;
-    sc.shared_prefix_tokens = pick(1, 4) * 16;
-    sc.shared_prefix_groups = pick(1, 3);
-    sc.shared_prefix_share = pickd(0.3, 1.0);
+    sc.scheduler.blocks.prefix_cache.enabled = true;
+    sc.workload.shared_prefix_tokens = pick(1, 4) * 16;
+    sc.workload.shared_prefix_groups = pick(1, 3);
+    sc.workload.shared_prefix_share = pickd(0.3, 1.0);
   }
   if (pick(0, 2) == 0) {  // speculative decoding
-    sc.speculation.depth = pick(1, 3);
-    sc.speculation.acceptance = pickd(0.5, 0.9);
+    sc.scheduler.speculation.depth = pick(1, 3);
+    sc.scheduler.speculation.acceptance = pickd(0.5, 0.9);
   }
   if (pick(0, 2) == 0) {  // streaming SLOs (shedding + violations)
-    sc.slo.ttft_deadline_ms = pickd(50.0, 500.0);
-    sc.slo.tpot_deadline_ms = pickd(5.0, 50.0);
+    sc.scheduler.slo.ttft_deadline_ms = pickd(50.0, 500.0);
+    sc.scheduler.slo.tpot_deadline_ms = pickd(5.0, 50.0);
   }
   if (pick(0, 1) == 1) {  // multi-tenant mix
     const index_t tenants = pick(2, 3);
@@ -121,7 +121,7 @@ ServingConfig config_for_seed(std::uint64_t seed) {
       spec.name = "t";
       spec.name += std::to_string(t);
       spec.weight = pickd(0.5, 2.0);
-      sc.tenants.push_back(spec);
+      sc.scheduler.tenants.push_back(spec);
     }
   }
 
@@ -156,28 +156,28 @@ ServingConfig fleet_config_for_seed(std::uint64_t seed) {
   };
 
   ServingConfig sc;
-  sc.seed = seed;
-  sc.duration_s = pickd(1.0, 2.5);
-  sc.input_tokens = pick(16, 64);
-  sc.output_tokens = pick(4, 24);
-  sc.max_batch = pick(8, 48);
-  sc.shape = std::array{sched::WorkloadShape::kPoisson,
-                        sched::WorkloadShape::kBursty,
-                        sched::WorkloadShape::kShareGpt}[pick(0, 2)];
-  sc.policy = std::array{sched::SchedPolicy::kFcfs,
-                         sched::SchedPolicy::kShortestJob,
-                         sched::SchedPolicy::kMaxUtilization,
-                         sched::SchedPolicy::kWeightedFair}[pick(0, 3)];
-  sc.kv_blocks = pick(0, 2) == 0 ? 0 : pick(64, 192);
+  sc.workload.seed = seed;
+  sc.workload.duration_s = pickd(1.0, 2.5);
+  sc.workload.input_tokens = pick(16, 64);
+  sc.workload.output_tokens = pick(4, 24);
+  sc.scheduler.max_batch = pick(8, 48);
+  sc.workload.shape = std::array{sched::WorkloadShape::kPoisson,
+                                 sched::WorkloadShape::kBursty,
+                                 sched::WorkloadShape::kShareGpt}[pick(0, 2)];
+  sc.scheduler.policy =
+      std::array{sched::SchedPolicy::kFcfs, sched::SchedPolicy::kShortestJob,
+                 sched::SchedPolicy::kMaxUtilization,
+                 sched::SchedPolicy::kWeightedFair}[pick(0, 3)];
+  sc.scheduler.blocks.num_blocks = pick(0, 2) == 0 ? 0 : pick(64, 192);
   if (pick(0, 2) == 0) {
-    sc.prefix_cache.enabled = true;
-    sc.shared_prefix_tokens = pick(1, 3) * 16;
-    sc.shared_prefix_groups = pick(1, 4);
-    sc.shared_prefix_share = pickd(0.3, 1.0);
+    sc.scheduler.blocks.prefix_cache.enabled = true;
+    sc.workload.shared_prefix_tokens = pick(1, 3) * 16;
+    sc.workload.shared_prefix_groups = pick(1, 4);
+    sc.workload.shared_prefix_share = pickd(0.3, 1.0);
   }
   if (pick(0, 2) == 0) {
-    sc.slo.ttft_deadline_ms = pickd(50.0, 500.0);
-    sc.slo.tpot_deadline_ms = pickd(5.0, 50.0);
+    sc.scheduler.slo.ttft_deadline_ms = pickd(50.0, 500.0);
+    sc.scheduler.slo.tpot_deadline_ms = pickd(5.0, 50.0);
   }
 
   const int mode = pick(0, 5);
@@ -185,7 +185,7 @@ ServingConfig fleet_config_for_seed(std::uint64_t seed) {
     sc.cluster.disagg.enabled = true;
     sc.cluster.disagg.prefill_replicas = pick(1, 4);
     sc.cluster.disagg.decode_replicas = pick(1, 4);
-    sc.qps = pickd(8.0, 40.0);
+    sc.workload.qps = pickd(8.0, 40.0);
     return sc;
   }
   const index_t replicas = pick(8, 64);
@@ -194,7 +194,7 @@ ServingConfig fleet_config_for_seed(std::uint64_t seed) {
       std::array{cluster::Placement::kRoundRobin,
                  cluster::Placement::kLeastLoaded,
                  cluster::Placement::kSessionAffinity}[pick(0, 2)];
-  sc.qps = pickd(2.0, 6.0) * static_cast<double>(replicas);
+  sc.workload.qps = pickd(2.0, 6.0) * static_cast<double>(replicas);
   if (mode <= 2) {  // autoscaled: overloaded, so queues build and drain
     cluster::AutoscalerConfig& as = sc.cluster.autoscaler;
     as.enabled = true;
@@ -204,8 +204,8 @@ ServingConfig fleet_config_for_seed(std::uint64_t seed) {
     as.scale_up_queue_per_replica = pickd(0.5, 3.0);
     as.scale_down_queue_per_replica =
         pickd(0.05, 0.5) * as.scale_up_queue_per_replica;
-    sc.max_batch = pick(2, 6);
-    sc.qps *= pickd(2.0, 4.0);
+    sc.scheduler.max_batch = pick(2, 6);
+    sc.workload.qps *= pickd(2.0, 4.0);
   }
   return sc;
 }

@@ -13,12 +13,14 @@
 namespace marlin::core {
 namespace {
 
+// All members are 8 bytes wide, so the struct has no padding: gtest prints
+// its bytes into the test names, which stay the same in every build.
 struct KernelCase {
   index_t m, k, n;
   index_t n_sm;
-  int warps;
+  index_t warps;
   index_t group;
-  int sms;
+  index_t sms;
 };
 
 Matrix<Half> random_activations(index_t m, index_t k, std::uint64_t seed) {
@@ -62,8 +64,8 @@ TEST_P(MarlinKernelCorrectness, MatchesReference) {
 
   KernelConfig cfg;
   cfg.n_sm_tile = c.n_sm;
-  cfg.num_warps = c.warps;
-  const auto res = marlin_matmul(a.view(), mw, cfg, c.sms);
+  cfg.num_warps = static_cast<int>(c.warps);
+  const auto res = marlin_matmul(a.view(), mw, cfg, static_cast<int>(c.sms));
 
   const auto wd = q.dequantize();
   const auto ref = reference_matmul(a.view(), wd.view());

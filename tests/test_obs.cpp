@@ -229,20 +229,20 @@ const serve::Engine& test_engine() {
 /// tenants (per-tenant counters) and the autoscaler (replica lifecycle).
 serve::ServingConfig stress_config() {
   serve::ServingConfig cfg;
-  cfg.qps = 20.0;
-  cfg.duration_s = 12.0;
-  cfg.seed = 42;
-  cfg.kv_blocks = 64;
-  cfg.shape = serve::sched::WorkloadShape::kBursty;
-  cfg.slo.ttft_deadline_ms = 400.0;
-  cfg.slo.tpot_deadline_ms = 15.0;
-  cfg.speculation.depth = 4;
-  cfg.speculation.acceptance = 0.8;
+  cfg.workload.qps = 20.0;
+  cfg.workload.duration_s = 12.0;
+  cfg.workload.seed = 42;
+  cfg.scheduler.blocks.num_blocks = 64;
+  cfg.workload.shape = serve::sched::WorkloadShape::kBursty;
+  cfg.scheduler.slo.ttft_deadline_ms = 400.0;
+  cfg.scheduler.slo.tpot_deadline_ms = 15.0;
+  cfg.scheduler.speculation.depth = 4;
+  cfg.scheduler.speculation.acceptance = 0.8;
   for (index_t t = 0; t < 2; ++t) {
     serve::sched::TenantSpec spec;
     spec.id = t;
     spec.name = "t" + std::to_string(t);
-    cfg.tenants.push_back(spec);
+    cfg.scheduler.tenants.push_back(spec);
   }
   cfg.cluster.autoscaler.enabled = true;
   cfg.cluster.autoscaler.min_replicas = 1;
@@ -401,11 +401,11 @@ TEST(ServeRecorderSim, MetricsAgreeWithSchedStats) {
   // The prefix-cache and copy-on-write rows, with a small cache and n=2
   // sampling so lookups, hits, evictions, forks and copies all fire.
   serve::ServingConfig cached = stress_config();
-  cached.prefix_cache.enabled = true;
-  cached.prefix_cache.max_cached_blocks = 4;
-  cached.shared_prefix_tokens = 32;
-  cached.shared_prefix_groups = 3;
-  cached.sampling_n = 2;
+  cached.scheduler.blocks.prefix_cache.enabled = true;
+  cached.scheduler.blocks.prefix_cache.max_cached_blocks = 4;
+  cached.workload.shared_prefix_tokens = 32;
+  cached.workload.shared_prefix_groups = 3;
+  cached.workload.sampling_n = 2;
   const Observation cow = observe(SimContext::serial_context(), cached);
   EXPECT_GT(cow.stats.sched.prefix_cache_hit_blocks, 0);
   EXPECT_GT(cow.stats.sched.prefix_cache_evictions, 0);

@@ -360,14 +360,14 @@ serve::Engine test_engine() {
 
 serve::ServingConfig shared_prefix_config() {
   serve::ServingConfig sc;
-  sc.qps = 8.0;
-  sc.duration_s = 10.0;
-  sc.input_tokens = 64;
-  sc.output_tokens = 16;
-  sc.kv_blocks = 256;
-  sc.shared_prefix_tokens = 128;
-  sc.shared_prefix_groups = 2;
-  sc.shared_prefix_share = 0.8;
+  sc.workload.qps = 8.0;
+  sc.workload.duration_s = 10.0;
+  sc.workload.input_tokens = 64;
+  sc.workload.output_tokens = 16;
+  sc.scheduler.blocks.num_blocks = 256;
+  sc.workload.shared_prefix_tokens = 128;
+  sc.workload.shared_prefix_groups = 2;
+  sc.workload.shared_prefix_share = 0.8;
   return sc;
 }
 
@@ -376,7 +376,7 @@ TEST(PrefixCacheEndToEnd, CacheOffIsBitIdenticalOnAnyWorkload) {
   // legacy allocator — even when the workload carries shared prefixes.
   const serve::Engine engine = test_engine();
   serve::ServingConfig off = shared_prefix_config();
-  off.prefix_cache.enabled = false;
+  off.scheduler.blocks.prefix_cache.enabled = false;
   const auto a = serve::simulate(engine, off).sched;
   const auto b = serve::simulate(engine, off).sched;
   EXPECT_EQ(a.metrics.mean_tpot_ms, b.metrics.mean_tpot_ms);
@@ -390,10 +390,10 @@ TEST(PrefixCacheEndToEnd, UniqueWorkloadIsUnchangedByTheCache) {
   // scheduling decision ("the cache never hurts").
   const serve::Engine engine = test_engine();
   serve::ServingConfig sc = shared_prefix_config();
-  sc.shared_prefix_tokens = 0;  // fully unique prompts
-  sc.prefix_cache.enabled = false;
+  sc.workload.shared_prefix_tokens = 0;  // fully unique prompts
+  sc.scheduler.blocks.prefix_cache.enabled = false;
   const auto off = serve::simulate(engine, sc).sched;
-  sc.prefix_cache.enabled = true;
+  sc.scheduler.blocks.prefix_cache.enabled = true;
   const auto on = serve::simulate(engine, sc).sched;
 
   EXPECT_EQ(off.metrics.completed, on.metrics.completed);
@@ -410,7 +410,7 @@ TEST(PrefixCacheEndToEnd, UniqueWorkloadIsUnchangedByTheCache) {
 TEST(PrefixCacheEndToEnd, SharedPrefixesHitAndSkipPrefillTokens) {
   const serve::Engine engine = test_engine();
   serve::ServingConfig sc = shared_prefix_config();
-  sc.prefix_cache.enabled = true;
+  sc.scheduler.blocks.prefix_cache.enabled = true;
   const auto st = serve::simulate(engine, sc).sched;
   EXPECT_GT(st.prefix_cache_lookup_blocks, 0);
   EXPECT_GT(st.prefix_cache_hit_blocks, 0);
@@ -418,11 +418,11 @@ TEST(PrefixCacheEndToEnd, SharedPrefixesHitAndSkipPrefillTokens) {
   EXPECT_LE(st.prefix_cache_hit_blocks, st.prefix_cache_lookup_blocks);
   // Skipped tokens are whole cached blocks' worth of prefill.
   EXPECT_EQ(st.prefix_tokens_skipped,
-            st.prefix_cache_hit_blocks * sc.kv_block_size);
+            st.prefix_cache_hit_blocks * sc.scheduler.blocks.block_size);
 
   // Warm admissions reach their first token sooner than the cold run.
   serve::ServingConfig off = sc;
-  off.prefix_cache.enabled = false;
+  off.scheduler.blocks.prefix_cache.enabled = false;
   const auto cold = serve::simulate(engine, off).sched;
   EXPECT_LT(st.metrics.mean_ttft_ms, cold.metrics.mean_ttft_ms);
   EXPECT_EQ(st.metrics.completed, cold.metrics.completed);
@@ -431,11 +431,11 @@ TEST(PrefixCacheEndToEnd, SharedPrefixesHitAndSkipPrefillTokens) {
 TEST(PrefixCacheEndToEnd, ParallelSamplingForksAndDiverges) {
   const serve::Engine engine = test_engine();
   serve::ServingConfig sc = shared_prefix_config();
-  sc.prefix_cache.enabled = true;
-  sc.sampling_n = 4;
+  sc.scheduler.blocks.prefix_cache.enabled = true;
+  sc.workload.sampling_n = 4;
   // 60 + 128 prompt tokens: the partial tail block is shared at fork
   // time and must CoW-split on each sequence's first divergent write.
-  sc.input_tokens = 60;
+  sc.workload.input_tokens = 60;
   const auto st = serve::simulate(engine, sc).sched;
   EXPECT_GT(st.cow_forks, 0);
   EXPECT_GT(st.cow_copies, 0);
@@ -443,7 +443,7 @@ TEST(PrefixCacheEndToEnd, ParallelSamplingForksAndDiverges) {
   // Each request decodes n sequences in lockstep, so the engine sees a
   // strictly larger decode batch than the n=1 run.
   serve::ServingConfig single = sc;
-  single.sampling_n = 1;
+  single.workload.sampling_n = 1;
   const auto one = serve::simulate(engine, single).sched;
   EXPECT_GT(st.metrics.mean_batch, one.metrics.mean_batch);
 }
@@ -451,8 +451,8 @@ TEST(PrefixCacheEndToEnd, ParallelSamplingForksAndDiverges) {
 TEST(PrefixCacheEndToEnd, DeterministicAcrossThreadCounts) {
   const serve::Engine engine = test_engine();
   serve::ServingConfig sc = shared_prefix_config();
-  sc.prefix_cache.enabled = true;
-  sc.sampling_n = 2;
+  sc.scheduler.blocks.prefix_cache.enabled = true;
+  sc.workload.sampling_n = 2;
   const SimContext& serial = SimContext::serial_context();
   const SimContext pool(4);
   const auto a = serve::simulate(engine, sc, serial).sched;

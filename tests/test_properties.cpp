@@ -197,22 +197,22 @@ TEST_P(ServingConservation, LawsHold) {
   const serve::Engine engine(ecfg);
 
   serve::ServingConfig scfg;
-  scfg.qps = GetParam();
-  scfg.duration_s = 25.0;
-  scfg.seed = 7;
+  scfg.workload.qps = GetParam();
+  scfg.workload.duration_s = 25.0;
+  scfg.workload.seed = 7;
   const auto m = serve::simulate(engine, scfg).sched.metrics;
 
   // The sim drains: every arrival completes.
-  EXPECT_GE(m.completed, static_cast<index_t>(scfg.qps * 15));
+  EXPECT_GE(m.completed, static_cast<index_t>(scfg.workload.qps * 15));
   // TTFT is at least one prefill.
   EXPECT_GE(m.mean_ttft_ms,
-            engine.prefill_seconds(1, scfg.input_tokens) * 1e3 * 0.99);
+            engine.prefill_seconds(1, scfg.workload.input_tokens) * 1e3 * 0.99);
   // TPOT is at least one batch-1 decode step and p90 >= mean is not
   // guaranteed, but p90 >= 0 and mean batch within [1, max_batch].
   EXPECT_GE(m.mean_tpot_ms,
             engine.decode_step_seconds(1, 64.0) * 1e3 * 0.99);
   EXPECT_GE(m.mean_batch, 1.0);
-  EXPECT_LE(m.mean_batch, static_cast<double>(scfg.max_batch));
+  EXPECT_LE(m.mean_batch, static_cast<double>(scfg.scheduler.max_batch));
   // Determinism: same seed, same metrics.
   const auto m2 = serve::simulate(engine, scfg).sched.metrics;
   EXPECT_DOUBLE_EQ(m.mean_tpot_ms, m2.mean_tpot_ms);

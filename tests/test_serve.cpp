@@ -187,8 +187,8 @@ EngineConfig a6000_7b(WeightFormat fmt) {
 TEST(ServingSim, CompletesAllRequestsAtLowLoad) {
   const Engine marlin(a6000_7b(WeightFormat::kMarlin));
   ServingConfig sc;
-  sc.qps = 1.0;
-  sc.duration_s = 30.0;
+  sc.workload.qps = 1.0;
+  sc.workload.duration_s = 30.0;
   const auto m = simulate(marlin, sc).sched.metrics;
   EXPECT_GT(m.completed, 15);
   EXPECT_GT(m.mean_tpot_ms, 0.0);
@@ -200,8 +200,8 @@ TEST(ServingSim, MarlinReducesTpotRoughly3x) {
   const Engine fp16(a6000_7b(WeightFormat::kFp16));
   const Engine marlin(a6000_7b(WeightFormat::kMarlin));
   ServingConfig sc;
-  sc.qps = 1.0;
-  sc.duration_s = 40.0;
+  sc.workload.qps = 1.0;
+  sc.workload.duration_s = 40.0;
   const auto mf = simulate(fp16, sc).sched.metrics;
   const auto mm = simulate(marlin, sc).sched.metrics;
   const double s = mf.mean_tpot_ms / mm.mean_tpot_ms;
@@ -212,10 +212,10 @@ TEST(ServingSim, MarlinReducesTpotRoughly3x) {
 TEST(ServingSim, TpotGrowsWithQps) {
   const Engine marlin(a6000_7b(WeightFormat::kMarlin));
   ServingConfig lo;
-  lo.qps = 1.0;
-  lo.duration_s = 30.0;
+  lo.workload.qps = 1.0;
+  lo.workload.duration_s = 30.0;
   ServingConfig hi = lo;
-  hi.qps = 10.0;
+  hi.workload.qps = 10.0;
   const auto mlo = simulate(marlin, lo).sched.metrics;
   const auto mhi = simulate(marlin, hi).sched.metrics;
   EXPECT_GT(mhi.mean_tpot_ms, mlo.mean_tpot_ms * 0.99);
@@ -227,8 +227,8 @@ TEST(ServingSim, FasterKernelSeesSmallerAverageBatch) {
   const Engine fp16(a6000_7b(WeightFormat::kFp16));
   const Engine marlin(a6000_7b(WeightFormat::kMarlin));
   ServingConfig sc;
-  sc.qps = 5.0;
-  sc.duration_s = 40.0;
+  sc.workload.qps = 5.0;
+  sc.workload.duration_s = 40.0;
   const auto mf = simulate(fp16, sc).sched.metrics;
   const auto mm = simulate(marlin, sc).sched.metrics;
   EXPECT_LT(mm.mean_batch, mf.mean_batch);
@@ -240,8 +240,8 @@ TEST(ServingSim, TtftImprovementSmallerThanTpot) {
   const Engine fp16(a6000_7b(WeightFormat::kFp16));
   const Engine marlin(a6000_7b(WeightFormat::kMarlin));
   ServingConfig sc;
-  sc.qps = 2.5;
-  sc.duration_s = 40.0;
+  sc.workload.qps = 2.5;
+  sc.workload.duration_s = 40.0;
   const auto mf = simulate(fp16, sc).sched.metrics;
   const auto mm = simulate(marlin, sc).sched.metrics;
   const double tpot_gain = mf.mean_tpot_ms / mm.mean_tpot_ms;

@@ -113,14 +113,15 @@ TEST(SingleReplicaEquivalence, ServerSimPathsAgree) {
   // run through a default 1-replica EventLoop directly, give the same
   // bits.
   ServingConfig sc;
-  sc.qps = 4.0;
-  sc.duration_s = 15.0;
-  sc.kv_blocks = 96;
+  sc.workload.qps = 4.0;
+  sc.workload.duration_s = 15.0;
+  sc.scheduler.blocks.num_blocks = 96;
   const ClusterStats cs = simulate(test_engine(), sc);
   sched::WorkloadConfig w;
-  w.qps = sc.qps;
-  w.duration_s = sc.duration_s;
-  const sched::Scheduler sch(test_engine(), sched_cfg(sc.kv_blocks));
+  w.qps = sc.workload.qps;
+  w.duration_s = sc.workload.duration_s;
+  const sched::Scheduler sch(test_engine(),
+                             sched_cfg(sc.scheduler.blocks.num_blocks));
   const ClusterStats direct =
       EventLoop(sch, ClusterOptions{}).run(sched::generate_trace(w));
   expect_sched_equal(direct.sched, cs.sched);
@@ -337,10 +338,10 @@ TEST(ReplicaLifecycle, ClockNeverMovesBackwards) {
 
 TEST(SloShedding, TightTtftDeadlineShedsHopelessRequestsOnly) {
   ServingConfig sc;
-  sc.qps = 30.0;
-  sc.duration_s = 8.0;
-  sc.kv_blocks = 64;
-  sc.slo.ttft_deadline_ms = 30.0;
+  sc.workload.qps = 30.0;
+  sc.workload.duration_s = 8.0;
+  sc.scheduler.blocks.num_blocks = 64;
+  sc.scheduler.slo.ttft_deadline_ms = 30.0;
   const ClusterStats cs = simulate(test_engine(), sc);
   const sched::SchedStats& st = cs.sched;
   EXPECT_GT(st.shed, 0);
@@ -368,9 +369,10 @@ TEST(SloShedding, TightTtftDeadlineShedsHopelessRequestsOnly) {
 
 TEST(SloShedding, TpotDeadlineOnlyAccountsViolations) {
   ServingConfig sc;
-  sc.qps = 2.0;
-  sc.duration_s = 10.0;
-  sc.slo.tpot_deadline_ms = 0.001;  // impossible: every completion violates
+  sc.workload.qps = 2.0;
+  sc.workload.duration_s = 10.0;
+  // Impossible: every completion violates.
+  sc.scheduler.slo.tpot_deadline_ms = 0.001;
   const ClusterStats cs = simulate(test_engine(), sc);
   EXPECT_EQ(cs.sched.shed, 0);  // no TTFT deadline, nothing is shed
   EXPECT_GT(cs.sched.metrics.completed, 0);
@@ -383,10 +385,10 @@ ServingConfig bursty_autoscaled() {
   ServingConfig sc;
   // Long enough for several ON/OFF burst cycles: the OFF gaps are where
   // the scale-down evaluations actually fire.
-  sc.shape = sched::WorkloadShape::kBursty;
-  sc.qps = 24.0;
-  sc.duration_s = 40.0;
-  sc.kv_blocks = 96;
+  sc.workload.shape = sched::WorkloadShape::kBursty;
+  sc.workload.qps = 24.0;
+  sc.workload.duration_s = 40.0;
+  sc.scheduler.blocks.num_blocks = 96;
   sc.cluster.autoscaler.enabled = true;
   sc.cluster.autoscaler.min_replicas = 1;
   sc.cluster.autoscaler.max_replicas = 4;
@@ -669,9 +671,9 @@ TEST(DisaggMigration, DestinationPrefixCacheSkipsTransferredBlocks) {
 
 TEST(DisaggMigration, EndToEndServerSimPricesTransfersFromTheEngine) {
   ServingConfig sc;
-  sc.qps = 8.0;
-  sc.duration_s = 12.0;
-  sc.kv_blocks = 96;
+  sc.workload.qps = 8.0;
+  sc.workload.duration_s = 12.0;
+  sc.scheduler.blocks.num_blocks = 96;
   sc.cluster.disagg.enabled = true;
   sc.cluster.disagg.prefill_replicas = 1;
   sc.cluster.disagg.decode_replicas = 1;

@@ -332,11 +332,11 @@ TEST(WeightedFairQueuing, SingleTenantMatchesFcfsStructure) {
   // completions, same step counts, same preemption count.
   const Engine engine(a6000_marlin());
   ServingConfig sc;
-  sc.qps = 8.0;
-  sc.duration_s = 15.0;
-  sc.kv_blocks = 128;
+  sc.workload.qps = 8.0;
+  sc.workload.duration_s = 15.0;
+  sc.scheduler.blocks.num_blocks = 128;
   const auto fcfs = simulate(engine, sc).sched;
-  sc.policy = SchedPolicy::kWeightedFair;
+  sc.scheduler.policy = SchedPolicy::kWeightedFair;
   const auto wfq = simulate(engine, sc).sched;
   EXPECT_EQ(fcfs.metrics.completed, wfq.metrics.completed);
   EXPECT_EQ(fcfs.decode_steps, wfq.decode_steps);
@@ -399,11 +399,11 @@ TEST(Speculation, RequiresDraftModelAndCommitsFasterSchedule) {
   EXPECT_THROW(Scheduler(engine, cfg), Error);  // no draft model
 
   ServingConfig sc;
-  sc.qps = 4.0;
-  sc.duration_s = 20.0;
+  sc.workload.qps = 4.0;
+  sc.workload.duration_s = 20.0;
   const auto plain = simulate(engine, sc).sched;
-  sc.speculation.depth = 4;
-  sc.speculation.acceptance = 0.8;
+  sc.scheduler.speculation.depth = 4;
+  sc.scheduler.speculation.acceptance = 0.8;
   const auto spec = simulate(engine, sc).sched;
 
   EXPECT_EQ(plain.spec_rounds, 0);
@@ -427,12 +427,13 @@ TEST(Speculation, RequiresDraftModelAndCommitsFasterSchedule) {
 TEST(Speculation, ComposesWithPreemptionAndChunkedPrefill) {
   const Engine engine(a6000_marlin());
   ServingConfig sc;
-  sc.qps = 8.0;
-  sc.duration_s = 15.0;
-  sc.kv_blocks = 96;  // tight: forces preemption under speculation
-  sc.prefill_chunk_tokens = 16;
-  sc.speculation.depth = 3;
-  sc.speculation.acceptance = 0.7;
+  sc.workload.qps = 8.0;
+  sc.workload.duration_s = 15.0;
+  // Tight: forces preemption under speculation.
+  sc.scheduler.blocks.num_blocks = 96;
+  sc.scheduler.prefill_chunk_tokens = 16;
+  sc.scheduler.speculation.depth = 3;
+  sc.scheduler.speculation.acceptance = 0.7;
   const auto stats = simulate(engine, sc).sched;
   EXPECT_GT(stats.preemptions, 0);
   EXPECT_GT(stats.spec_rounds, 0);
@@ -446,14 +447,14 @@ TEST(Speculation, ComposesWithPreemptionAndChunkedPrefill) {
 TEST(Speculation, BitIdenticalAcrossThreadCounts) {
   const Engine engine(a6000_marlin());
   ServingConfig sc;
-  sc.qps = 8.0;
-  sc.duration_s = 15.0;
-  sc.kv_blocks = 128;
-  sc.policy = SchedPolicy::kWeightedFair;
-  sc.tenants = {TenantSpec{0, "a", 2.0, 0, 48, 1.0},
-                TenantSpec{1, "b", 1.0, 1, 48, 1.0}};
-  sc.speculation.depth = 4;
-  sc.speculation.acceptance = 0.8;
+  sc.workload.qps = 8.0;
+  sc.workload.duration_s = 15.0;
+  sc.scheduler.blocks.num_blocks = 128;
+  sc.scheduler.policy = SchedPolicy::kWeightedFair;
+  sc.scheduler.tenants = {TenantSpec{0, "a", 2.0, 0, 48, 1.0},
+                          TenantSpec{1, "b", 1.0, 1, 48, 1.0}};
+  sc.scheduler.speculation.depth = 4;
+  sc.scheduler.speculation.acceptance = 0.8;
   const SimContext serial(1);
   const SimContext pooled(4);
   const auto a = simulate(engine, sc, serial).sched;
@@ -476,11 +477,11 @@ TEST(Speculation, BitIdenticalAcrossThreadCounts) {
 TEST(PerTenantMetrics, SplitsByTenant) {
   const Engine engine(a6000_marlin());
   ServingConfig sc;
-  sc.qps = 6.0;
-  sc.duration_s = 20.0;
-  sc.policy = SchedPolicy::kWeightedFair;
-  sc.tenants = {TenantSpec{0, "a", 1.0, 0, kNoQuota, 1.0},
-                TenantSpec{1, "b", 1.0, 0, kNoQuota, 1.0}};
+  sc.workload.qps = 6.0;
+  sc.workload.duration_s = 20.0;
+  sc.scheduler.policy = SchedPolicy::kWeightedFair;
+  sc.scheduler.tenants = {TenantSpec{0, "a", 1.0, 0, kNoQuota, 1.0},
+                          TenantSpec{1, "b", 1.0, 0, kNoQuota, 1.0}};
   const auto stats = simulate(engine, sc).sched;
   const auto tenants = per_tenant_metrics(stats);
   ASSERT_EQ(tenants.size(), 2u);

@@ -42,15 +42,15 @@ TEST(ParallelConfig, ValidationAndDerivedQuantities) {
   EXPECT_EQ(pc.effective_microbatches(), 8);
   EXPECT_EQ(pc.to_string(), "tp2 pp4 mb8");
 
-  EXPECT_THROW(ParallelConfig({0, 1, 0}).validate(), Error);
-  EXPECT_THROW(ParallelConfig({1, 0, 0}).validate(), Error);
-  EXPECT_THROW(ParallelConfig({1, 1, -1}).validate(), Error);
+  EXPECT_THROW(ParallelConfig({0, 1, 0}).validate(llama2_7b()), Error);
+  EXPECT_THROW(ParallelConfig({1, 0, 0}).validate(llama2_7b()), Error);
+  EXPECT_THROW(ParallelConfig({1, 1, -1}).validate(llama2_7b()), Error);
 
   pc = {4, 1, 0};
   pc.comm_buckets = 4;
   EXPECT_EQ(pc.to_string(), "tp4 pp1 cb4");
   pc.comm_buckets = 0;
-  EXPECT_THROW(pc.validate(), Error);
+  EXPECT_THROW(pc.validate(llama2_7b()), Error);
 }
 
 // ------------------------------------------------------------- workers
@@ -191,8 +191,8 @@ TEST(ParallelEngine, TrivialConfigEqualsLegacyEngineBitForBit) {
   }
   // The serving adapter takes the identical path: every metric matches.
   ServingConfig sc;
-  sc.qps = 4.0;
-  sc.duration_s = 15.0;
+  sc.workload.qps = 4.0;
+  sc.workload.duration_s = 15.0;
   const auto legacy = simulate(engine, sc).sched;
   sc.parallel = {1, 1, 0};
   const auto routed = simulate(engine, sc).sched;
@@ -303,12 +303,12 @@ TEST(ParallelEngine, MinRankBudgetBindsAcrossAsymmetricStages) {
 TEST(ParallelEngine, ServingBitIdenticalAcrossThreadCounts) {
   const Engine engine(a100_cfg());
   ServingConfig sc;
-  sc.qps = 8.0;
-  sc.duration_s = 15.0;
-  sc.shape = sched::WorkloadShape::kShareGpt;
-  sc.policy = sched::SchedPolicy::kShortestJob;
-  sc.kv_blocks = -1;  // per-rank derived budget
-  sc.max_batch = 32;
+  sc.workload.qps = 8.0;
+  sc.workload.duration_s = 15.0;
+  sc.workload.shape = sched::WorkloadShape::kShareGpt;
+  sc.scheduler.policy = sched::SchedPolicy::kShortestJob;
+  sc.scheduler.blocks.num_blocks = -1;  // per-rank derived budget
+  sc.scheduler.max_batch = 32;
   sc.parallel = {2, 2, 0};
   const SimContext serial(1);
   const SimContext pooled(4);
@@ -328,8 +328,8 @@ TEST(ParallelEngine, ServingBitIdenticalAcrossThreadCounts) {
 TEST(ParallelEngine, RepeatRunsAreDeterministic) {
   const Engine engine(a100_cfg());
   ServingConfig sc;
-  sc.qps = 6.0;
-  sc.duration_s = 10.0;
+  sc.workload.qps = 6.0;
+  sc.workload.duration_s = 10.0;
   sc.parallel = {2, 1, 0};
   const auto a = simulate(engine, sc).sched;
   // A fresh ParallelEngine (cold memo) must reproduce the same bits.

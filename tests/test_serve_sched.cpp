@@ -230,17 +230,17 @@ EngineConfig a6000_marlin() {
 
 ServingConfig overload_cfg() {
   ServingConfig sc;
-  sc.qps = 8.0;
-  sc.duration_s = 20.0;
+  sc.workload.qps = 8.0;
+  sc.workload.duration_s = 20.0;
   return sc;
 }
 
 TEST(Scheduler, MetricsBitIdenticalAcrossThreadCounts) {
   const Engine engine(a6000_marlin());
   ServingConfig sc = overload_cfg();
-  sc.shape = WorkloadShape::kShareGpt;
-  sc.policy = SchedPolicy::kShortestJob;
-  sc.kv_blocks = 256;
+  sc.workload.shape = WorkloadShape::kShareGpt;
+  sc.scheduler.policy = SchedPolicy::kShortestJob;
+  sc.scheduler.blocks.num_blocks = 256;
   const SimContext serial(1);
   const SimContext pooled(4);
   const auto a = simulate(engine, sc, serial).sched;
@@ -259,7 +259,8 @@ TEST(Scheduler, PreemptionRecomputeRoundTrip) {
   const Engine engine(a6000_marlin());
   ServingConfig sc = overload_cfg();
   const auto unlimited = simulate(engine, sc).sched;
-  sc.kv_blocks = 96;  // ~1.5k KV tokens at block 16: heavy pressure
+  // ~1.5k KV tokens at block 16: heavy pressure.
+  sc.scheduler.blocks.num_blocks = 96;
   const auto tight = simulate(engine, sc).sched;
 
   EXPECT_EQ(tight.rejected, 0);
@@ -282,7 +283,7 @@ TEST(Scheduler, ChunkedPrefillTakesMoreSmallerSteps) {
   const Engine engine(a6000_marlin());
   ServingConfig sc = overload_cfg();
   const auto whole = simulate(engine, sc).sched;
-  sc.prefill_chunk_tokens = 16;  // 64-token prompts => 4 chunks
+  sc.scheduler.prefill_chunk_tokens = 16;  // 64-token prompts => 4 chunks
   const auto chunked = simulate(engine, sc).sched;
   EXPECT_GT(chunked.prefill_steps, whole.prefill_steps);
   EXPECT_EQ(chunked.metrics.completed, whole.metrics.completed);
@@ -379,8 +380,8 @@ TEST(Scheduler, FcfsUnlimitedMatchesLegacySimulateServing) {
   cfg.format = WeightFormat::kMarlin;
   const Engine engine(cfg);
   ServingConfig sc;
-  sc.qps = 1.0;
-  sc.duration_s = 120.0;
+  sc.workload.qps = 1.0;
+  sc.workload.duration_s = 120.0;
   const auto m = simulate(engine, sc).sched.metrics;
   EXPECT_NEAR(m.mean_tpot_ms, 7.99, 0.005);  // goldens table, row MARLIN
   EXPECT_NEAR(m.mean_batch, 1.3, 0.05);

@@ -53,11 +53,13 @@ sparse::Sparse24Weights random_sparse(index_t k, index_t n, index_t group,
   return sparse::compress_24(q, mask);
 }
 
+// All members are 8 bytes wide, so the struct has no padding: gtest prints
+// its bytes into the test names, which stay the same in every build.
 struct SparseCase {
   index_t m, k, n;
   index_t n_sm;
   index_t group;
-  int sms;
+  index_t sms;
 };
 
 class SparseKernelCorrectness : public ::testing::TestWithParam<SparseCase> {};
@@ -69,7 +71,8 @@ TEST_P(SparseKernelCorrectness, MatchesDecompressedReference) {
 
   KernelConfig cfg;
   cfg.n_sm_tile = c.n_sm;
-  const auto res = sparse_marlin_matmul(a.view(), s, cfg, c.sms);
+  const auto res =
+      sparse_marlin_matmul(a.view(), s, cfg, static_cast<int>(c.sms));
 
   const auto dense = sparse::decompress_24(s);
   const auto ref = reference_matmul(a.view(), dense.view());

@@ -113,25 +113,25 @@ ServingConfig wfq_config_for_seed(std::uint64_t seed) {
   };
 
   ServingConfig sc;
-  sc.seed = seed;
-  sc.policy = sched::SchedPolicy::kWeightedFair;
-  sc.qps = pickd(6.0, 24.0);
-  sc.duration_s = pickd(2.0, 5.0);
-  sc.input_tokens = pick(16, 128);
-  sc.output_tokens = pick(4, 48);
-  sc.max_batch = pick(4, 48);
-  sc.shape = std::array{sched::WorkloadShape::kPoisson,
-                        sched::WorkloadShape::kBursty,
-                        sched::WorkloadShape::kShareGpt}[pick(0, 2)];
+  sc.workload.seed = seed;
+  sc.scheduler.policy = sched::SchedPolicy::kWeightedFair;
+  sc.workload.qps = pickd(6.0, 24.0);
+  sc.workload.duration_s = pickd(2.0, 5.0);
+  sc.workload.input_tokens = pick(16, 128);
+  sc.workload.output_tokens = pick(4, 48);
+  sc.scheduler.max_batch = pick(4, 48);
+  sc.workload.shape = std::array{sched::WorkloadShape::kPoisson,
+                                 sched::WorkloadShape::kBursty,
+                                 sched::WorkloadShape::kShareGpt}[pick(0, 2)];
   // Small budgets: admissions block, borrowers get reclaimed.
-  sc.kv_blocks = pick(24, 160);
-  sc.prefill_chunk_tokens = pick(0, 1) == 0 ? 0 : 32;
-  sc.sampling_n = pick(0, 2) == 0 ? 2 : 1;
+  sc.scheduler.blocks.num_blocks = pick(24, 160);
+  sc.scheduler.prefill_chunk_tokens = pick(0, 1) == 0 ? 0 : 32;
+  sc.workload.sampling_n = pick(0, 2) == 0 ? 2 : 1;
   if (pick(0, 1) == 1) {  // shared prefixes charge blocks across tenants
-    sc.prefix_cache.enabled = true;
-    sc.shared_prefix_tokens = pick(1, 4) * 16;
-    sc.shared_prefix_groups = pick(1, 3);
-    sc.shared_prefix_share = pickd(0.3, 1.0);
+    sc.scheduler.blocks.prefix_cache.enabled = true;
+    sc.workload.shared_prefix_tokens = pick(1, 4) * 16;
+    sc.workload.shared_prefix_groups = pick(1, 3);
+    sc.workload.shared_prefix_share = pickd(0.3, 1.0);
   }
 
   const int tenants = pick(1, 5);
@@ -144,7 +144,7 @@ ServingConfig wfq_config_for_seed(std::uint64_t seed) {
     spec.weight = pickd(0.25, 4.0);
     spec.tier = pick(0, 2);
     spec.traffic_share = pickd(0.2, 1.0);
-    const auto budget = static_cast<int>(sc.kv_blocks);
+    const auto budget = static_cast<int>(sc.scheduler.blocks.num_blocks);
     switch (pick(0, 4)) {
       case 0:
         spec.kv_block_quota = sched::kNoQuota;
@@ -162,7 +162,7 @@ ServingConfig wfq_config_for_seed(std::uint64_t seed) {
         spec.kv_block_quota = budget + pick(1, 100);  // clamps to budget
         break;
     }
-    sc.tenants.push_back(spec);
+    sc.scheduler.tenants.push_back(spec);
   }
   if (pick(0, 3) == 0) {
     sc.cluster.replicas = 2;
@@ -211,7 +211,8 @@ TEST(WfqFuzz, QuotaSweepConservesRequestsAndReproducesRecordedOutcomes) {
     EXPECT_EQ(outcome_digest(cs), kDigests[static_cast<std::size_t>(seed - 1)])
         << std::hex << std::showbase << "digest " << outcome_digest(cs);
     preemptions += st.preemptions;
-    quota_seeds += std::any_of(sc.tenants.begin(), sc.tenants.end(),
+    const auto& tenants = sc.scheduler.tenants;
+    quota_seeds += std::any_of(tenants.begin(), tenants.end(),
                                [](const sched::TenantSpec& t) {
                                  return t.kv_block_quota != sched::kNoQuota;
                                });
